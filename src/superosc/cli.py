@@ -93,8 +93,6 @@ def cmd_coeffs(args) -> int:
 def cmd_eval(args) -> int:
     if args.x_min >= args.x_max:
         raise UsageError("--x-min must be below --x-max")
-    if args.samples < 2:
-        raise UsageError("--samples must be at least 2")
     rows = []
     for x in sample_grid(args.x_min, args.x_max, args.samples):
         value = f_eval(args.n, args.a, x)

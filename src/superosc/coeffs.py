@@ -82,25 +82,93 @@ def fourier_sum_precision(n: int, a: float, extra_log2: float = 0.0) -> int:
     return 80 + int(n * math.log2(1.0 + abs(a)) + extra_log2)
 
 
-def f_eval_fourier(n: int, a: float, x: float) -> complex:
-    """Same value as f_eval via the Fourier sum
-    sum_k c_k(n,a) e^{i(1-2k/n)x}.
+def _poly_at(coeffs, k):
+    """Horner evaluation of ascending coefficients at k."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * k + c
+    return acc
 
-    The sum cancels max(1,|a|)^n of magnitude, far beyond float64, so it
-    runs at a scaled precision; each exponential is cos + i sin per term.
-    Serves as the independent cross-check of the product form.
+
+def fourier_terms(n: int, a: float, weight: tuple, prec: int) -> tuple:
+    """(j0, terms) with terms[i] = c_j(n,a) W(k_j) for j = j0 + i, at prec
+    bits; W is the polynomial with ascending coefficients weight.
+
+    Vanishing terms at either end are dropped: at a = 1 (a = -1) every
+    c_j but the first (last) is exactly zero."""
+    with mp.workprec(prec):
+        u = (1 + mp.mpf(a)) / 2
+        w = (1 - mp.mpf(a)) / 2
+        terms = [
+            mp.binomial(n, j) * u ** (n - j) * w**j * _poly_at(weight, mp.mpf(n - 2 * j) / n)
+            for j in range(n + 1)
+        ]
+    nonzero = [j for j, term in enumerate(terms) if term != 0]
+    if not nonzero:
+        return 0, ()
+    return nonzero[0], tuple(terms[nonzero[0] : nonzero[-1] + 1])
+
+
+def _fixed(z, bits: int) -> tuple:
+    """z as a Gaussian integer (re, im) in units of 2^-bits."""
+    return int(mp.ldexp(mp.re(z), bits)), int(mp.ldexp(mp.im(z), bits))
+
+
+@lru_cache(maxsize=64)
+def _fixed_terms(n: int, a: float, weight: tuple, prec: int) -> tuple:
+    """fourier_terms in the fixed-point form fourier_sum loops over."""
+    j0, terms = fourier_terms(n, a, weight, prec)
+    return j0, tuple(_fixed(term, prec) for term in terms)
+
+
+def fourier_sum(n: int, a: float, x: float, weight: tuple, phase: tuple) -> complex:
+    """sum_j c_j(n,a) W(k_j) e^{i Phi(k_j) x} with k_j = 1 - 2j/n, where W
+    (real or complex) and Phi (real) are polynomials given as ascending
+    coefficient tuples.
+
+    The terms c_j W(k_j) do not depend on x: they are built once per
+    (n, a, W, precision) and cached.  P(j) = Phi(k_j) x is a polynomial of
+    degree d in j, so with D_i the i-th forward difference of P the phase
+    factors obey e^{i D_i(j+1)} = e^{i D_i(j)} e^{i D_{i+1}(j)}: d+1
+    cos/sin pairs per x, then d complex multiplies per term.  The rounding
+    of that recurrence grows like j^d, which d log2(n+1) guard bits absorb.
+
+    The loop runs on Gaussian integers in units of 2^-prec: the products
+    with the terms are exact, and each phase step rounds once, by the
+    rescaling shift, so the error is that of mpmath arithmetic at prec bits
+    at a fraction of its cost.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    with mp.workprec(fourier_sum_precision(n, a)):
-        u = (1 + mp.mpf(a)) / 2
-        w = (1 - mp.mpf(a)) / 2
-        total = mp.mpc(0)
-        for k in range(n + 1):
-            phi = mp.mpf(n - 2 * k) / n * x
-            weight = mp.binomial(n, k) * u ** (n - k) * w**k
-            total += weight * mp.mpc(mp.cos(phi), mp.sin(phi))
-        return complex(total)
+    degree = max(len(phase) - 1, 0)
+    while degree > 0 and phase[degree] == 0:
+        degree -= 1
+    prec = fourier_sum_precision(n, a, degree * math.log2(n + 1))
+    j0, terms = _fixed_terms(n, a, tuple(weight), prec)
+    order = min(degree, len(terms) - 1)
+    with mp.workprec(prec):
+        diffs = [_poly_at(phase, mp.mpf(n - 2 * j) / n) * x for j in range(j0, j0 + order + 1)]
+        for level in range(1, order + 1):
+            for i in range(order, level - 1, -1):
+                diffs[i] -= diffs[i - 1]
+        rot = [_fixed(mp.mpc(mp.cos(d), mp.sin(d)), prec) for d in diffs]
+    re = im = 0
+    for tr, ti in terms:
+        cr, ci = rot[0]
+        re += tr * cr - ti * ci
+        im += tr * ci + ti * cr
+        for i in range(order):
+            (ar, ai), (br, bi) = rot[i], rot[i + 1]
+            rot[i] = ((ar * br - ai * bi) >> prec, (ar * bi + ai * br) >> prec)
+    scale = 1 << 2 * prec
+    return complex(re / scale, im / scale)
+
+
+def f_eval_fourier(n: int, a: float, x: float) -> complex:
+    """Same value as f_eval via the Fourier sum
+    sum_k c_k(n,a) e^{i(1-2k/n)x}, the independent cross-check of the
+    product form."""
+    return fourier_sum(n, a, x, (1,), (0, 1))
 
 
 @dataclass(frozen=True)

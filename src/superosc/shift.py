@@ -4,7 +4,8 @@ profiling against their limits.
 
 All of these are Fourier-type sums sum_j c_j(n,a) W(k_j) e^{i Phi(k_j) x}
 with k_j = 1 - 2j/n, so they inherit the max(1,|a|)^n cancellation of the
-plain sequence and are summed at scaled precision (see coeffs)."""
+plain sequence; each is one call of the scaled-precision kernel
+coeffs.fourier_sum."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .coeffs import GridResult, fourier_sum_precision, sample_grid
+from .coeffs import GridResult, fourier_sum, fourier_sum_precision, fourier_terms, sample_grid
 
 
 @dataclass(frozen=True)
@@ -45,23 +46,9 @@ IDENTITY_FN = EntireFnSpec((0.0, 1.0))
 ONE_FN = EntireFnSpec((1.0,))
 
 
-def _weighted_sum(n: int, a: float, x: float, weight, phase) -> complex:
-    """sum_j c_j(n,a) weight(k_j) e^{i phase(k_j) x} at scaled precision;
-    weight maps an mpf to mpf/mpc, phase maps an mpf to mpf."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    with mp.workprec(fourier_sum_precision(n, a)):
-        u = (1 + mp.mpf(a)) / 2
-        w = (1 - mp.mpf(a)) / 2
-        total = mp.mpc(0)
-        for j in range(n + 1):
-            cj = mp.binomial(n, j) * u ** (n - j) * w**j
-            if cj == 0:
-                continue
-            kj = mp.mpf(n - 2 * j) / n
-            phi = phase(kj) * x
-            total += cj * weight(kj) * mp.mpc(mp.cos(phi), mp.sin(phi))
-        return complex(total)
+def _ik_power(e: int) -> tuple:
+    """(i k)^e as ascending coefficients in k."""
+    return (0,) * e + (1j**e,)
 
 
 def dpf_eval(n: int, a: float, x: float, p: int) -> complex:
@@ -69,7 +56,7 @@ def dpf_eval(n: int, a: float, x: float, p: int) -> complex:
     sum_j c_j(n,a) (i k_j)^p e^{i k_j x}; p = 0 recovers the sequence."""
     if p < 0:
         raise ValueError("derivative order must be >= 0")
-    return _weighted_sum(n, a, x, lambda kj: (1j * kj) ** p, lambda kj: kj)
+    return fourier_sum(n, a, x, _ik_power(p), (0, 1))
 
 
 def z_eval(n: int, a: float, x: float, m: int, p: int) -> complex:
@@ -78,7 +65,7 @@ def z_eval(n: int, a: float, x: float, m: int, p: int) -> complex:
         raise ValueError("frequency power m must be >= 1")
     if p < 0:
         raise ValueError("derivative order must be >= 0")
-    return _weighted_sum(n, a, x, lambda kj: (1j * kj) ** (m * p), lambda kj: kj**m)
+    return fourier_sum(n, a, x, _ik_power(m * p), (0,) * m + (1,))
 
 
 def y_eval(n: int, a: float, x: float, g: EntireFnSpec, h: EntireFnSpec) -> complex:
@@ -89,7 +76,7 @@ def y_eval(n: int, a: float, x: float, g: EntireFnSpec, h: EntireFnSpec) -> comp
     that is the form the infinite-order operator argument produces, and
     the only one whose limit is h(a) e^{i g(a) x} (a weight h(i k_j)
     would converge to h(ia) e^{i g(a) x} instead)."""
-    return _weighted_sum(n, a, x, lambda kj: h(kj), lambda kj: g(kj))
+    return fourier_sum(n, a, x, h.coeffs, g.coeffs)
 
 
 def y_weights(n: int, a: float, h: EntireFnSpec) -> list:
@@ -97,15 +84,10 @@ def y_weights(n: int, a: float, h: EntireFnSpec) -> list:
     exposed for inspection (their frequencies k_j stay in [-1, 1])."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    with mp.workprec(fourier_sum_precision(n, a)):
-        u = (1 + mp.mpf(a)) / 2
-        w = (1 - mp.mpf(a)) / 2
-        out = []
-        for j in range(n + 1):
-            cj = mp.binomial(n, j) * u ** (n - j) * w**j
-            kj = mp.mpf(n - 2 * j) / n
-            out.append(complex(cj * h(kj)))
-        return out
+    j0, terms = fourier_terms(n, a, h.coeffs, fourier_sum_precision(n, a))
+    weights = [0j] * (n + 1)
+    weights[j0 : j0 + len(terms)] = [complex(term) for term in terms]
+    return weights
 
 
 def _limit_fn(kind: str, a: float, p: int = 0, m: int = 1, g: EntireFnSpec = None, h: EntireFnSpec = None):

@@ -1,6 +1,10 @@
 """Independent brute-force oracles shared by the unit and acceptance
 suites.  These deliberately avoid the library's own recurrences."""
 
+import math
+
+import mpmath as mp
+
 
 def pascal_table(n_max):
     """Binomial triangle built row by row from additions only."""
@@ -29,3 +33,23 @@ def count_partitions_into_blocks(c, d):
         for b in range(blocks + 1):
             stack.append((placed + 1, blocks if b < blocks else blocks + 1))
     return count
+
+
+def fourier_sum_per_term(n, a, x, weight, phase):
+    """sum_j c_j(n,a) W(k_j) e^{i Phi(k_j) x}, k_j = 1 - 2j/n, term by term:
+    every weight rebuilt from math.comb and one cos/sin pair per term, at
+    128 bits above the n log2(1+|a|) cancellation.  W and Phi are ascending
+    coefficient sequences."""
+
+    def poly(coeffs, k):
+        return sum((mp.mpmathify(c) * k**i for i, c in enumerate(coeffs)), mp.mpf(0))
+
+    with mp.workprec(128 + math.ceil(n * math.log2(1 + abs(a)))):
+        u = (1 + mp.mpf(a)) / 2
+        w = (1 - mp.mpf(a)) / 2
+        total = mp.mpc(0)
+        for j in range(n + 1):
+            k = mp.mpf(n - 2 * j) / n
+            theta = poly(phase, k) * x
+            total += math.comb(n, j) * u ** (n - j) * w**j * poly(weight, k) * mp.mpc(mp.cos(theta), mp.sin(theta))
+        return complex(total)

@@ -10,6 +10,48 @@ from superosc.report import Divergence, IdentityReport, MISMATCH, REPORT_SCHEMA
 
 COEFFS_GOLDEN = "k,value\n0,4\n1,-4\n2,1\n"
 
+#: supershift --values output, pinned byte for byte (.17g prints every
+#: bit of each double): kind -> (flags, stdout)
+SUPERSHIFT_GOLDEN = {
+    "dpf": (
+        ["--kind", "dpf", "--a", "2", "--p", "1", "--n-list", "10,40", "--x-min", "-0.5", "--x-max", "0.5"],
+        "n,x,re,im\n"
+        "10,-0.5,1.647497395313295,1.2472940064370361\n"
+        "10,-0.25,0.89921194327685505,1.8048561171156108\n"
+        "10,0,0,2\n"
+        "10,0.25,-0.89921194327685505,1.8048561171156108\n"
+        "10,0.5,-1.647497395313295,1.2472940064370361\n"
+        "40,-0.5,1.6773775783856739,1.122365030827241\n"
+        "40,-0.25,0.9444627948557579,1.7681046576872983\n"
+        "40,0,0,2\n"
+        "40,0.25,-0.9444627948557579,1.7681046576872983\n"
+        "40,0.5,-1.6773775783856739,1.122365030827241\n",
+    ),
+    "y": (
+        ["--kind", "y", "--g", "0,0,1", "--h", "1,1", "--a", "1.5", "--n-list", "20,60", "--x-min", "-0.5", "--x-max", "0.7"],
+        "n,x,re,im\n"
+        "20,-0.5,1.3130189294221055,-2.2960100709221769\n"
+        "20,-0.20000000000000001,2.3008104118254877,-1.0352307486417185\n"
+        "20,0.099999999999999978,2.4498662399142552,0.52619100094068416\n"
+        "20,0.39999999999999991,1.7245604415385232,1.9355685584251232\n"
+        "20,0.69999999999999996,0.2995632558624704,2.7708758951458679\n"
+        "60,-0.5,1.1560466586348008,-2.2788402267928705\n"
+        "60,-0.20000000000000001,2.2689124955601092,-1.0705303136368611\n"
+        "60,0.099999999999999978,2.4416382773182961,0.54715309160722514\n"
+        "60,0.39999999999999991,1.6127386989634802,1.9562034080025734\n"
+        "60,0.69999999999999996,0.078844239452696835,2.6080930842577228\n",
+    ),
+    "z": (
+        ["--kind", "z", "--m", "2", "--p", "1", "--a", "1.2", "--n-list", "30", "--x-min", "-1", "--x-max", "1"],
+        "n,x,re,im\n"
+        "30,-1,-0.29759216466345351,1.4430615653931624\n"
+        "30,-0.5,-1.1132699985453625,0.90906699873051067\n"
+        "30,0,-1.4253333333333333,0\n"
+        "30,0.5,-1.1132699985453625,-0.90906699873051067\n"
+        "30,1,-0.29759216466345351,-1.4430615653931624\n",
+    ),
+}
+
 
 def run_cli(capsys, argv):
     code = cli.main(argv)
@@ -97,6 +139,20 @@ class TestEval:
 
     def test_bad_range_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, ["eval", "--n", "5", "--a", "2", "--x-min", "1", "--x-max", "-1"])
+        assert code == 2
+
+    def test_single_sample_is_x_min(self, capsys):
+        code, out = run_cli(
+            capsys,
+            ["eval", "--n", "7", "--a", "2", "--x-min", "-1", "--x-max", "1", "--samples", "1"],
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 2
+        assert float(lines[1].split(",")[0]) == -1.0
+
+    def test_zero_samples_is_usage_error(self, capsys):
+        code, _ = run_cli(capsys, ["eval", "--n", "7", "--a", "2", "--samples", "0"])
         assert code == 2
 
 
@@ -235,6 +291,13 @@ class TestSupershift:
         lines = out.strip().splitlines()
         assert lines[0] == "n,x,re,im"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("kind", sorted(SUPERSHIFT_GOLDEN))
+    def test_values_golden_bytes(self, capsys, kind):
+        flags, expected = SUPERSHIFT_GOLDEN[kind]
+        code, out = run_cli(capsys, ["supershift", *flags, "--samples", "5", "--values"])
+        assert code == 0
+        assert out.encode() == expected.encode()
 
     def test_malformed_polynomial(self, capsys):
         with pytest.raises(SystemExit) as exc:

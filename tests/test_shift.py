@@ -1,8 +1,10 @@
 import cmath
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from superosc.coeffs import f_eval
+from oracles import fourier_sum_per_term
+from superosc.coeffs import f_eval, f_eval_fourier, fourier_sum
 from superosc.shift import (
     EntireFnSpec,
     IDENTITY_FN,
@@ -16,6 +18,8 @@ from superosc.shift import (
 
 G_SQUARE = EntireFnSpec((0.0, 0.0, 1.0))  # g(w) = w^2
 H_AFFINE = EntireFnSpec((1.0, 1.0))  # h(w) = 1 + w
+G_CUBIC = EntireFnSpec((0.3, -1.0, 0.5, 2.0))
+H_QUADRATIC = EntireFnSpec((0.5, -1.0, 2.0))
 
 
 class TestEntireFnSpec:
@@ -135,3 +139,82 @@ class TestWeights:
             dpf_eval(5, 1.0, 0.0, -1)
         with pytest.raises(ValueError):
             limit_profile("nope", 1.0, [5], 0.0, 1.0, 3)
+
+
+#: name -> (evaluate(n, a, x), weight W, phase Phi), the last two as the
+#: ascending coefficients the per-term oracle sums over
+KERNEL_CASES = {
+    "fourier": (f_eval_fourier, (1,), (0, 1)),
+    "dpf-p1": (lambda n, a, x: dpf_eval(n, a, x, 1), (0, 1j), (0, 1)),
+    "dpf-p2": (lambda n, a, x: dpf_eval(n, a, x, 2), (0, 0, -1), (0, 1)),
+    "dpf-p3": (lambda n, a, x: dpf_eval(n, a, x, 3), (0, 0, 0, -1j), (0, 1)),
+    "z-m2-p1": (lambda n, a, x: z_eval(n, a, x, 2, 1), (0, 0, -1), (0, 0, 1)),
+    "y-square-affine": (lambda n, a, x: y_eval(n, a, x, G_SQUARE, H_AFFINE), H_AFFINE.coeffs, G_SQUARE.coeffs),
+    "y-cubic-quadratic": (lambda n, a, x: y_eval(n, a, x, G_CUBIC, H_QUADRATIC), H_QUADRATIC.coeffs, G_CUBIC.coeffs),
+}
+KERNEL_A = (-2.5, -1.0, 0.4, 1.0, 2.0)
+KERNEL_X = (-6.0, 0.37, 6.0)
+
+
+def assert_matches_oracle(value, n, a, x, weight, phase, label=""):
+    ref = fourier_sum_per_term(n, a, x, weight, phase)
+    assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (label, n, a, x, value, ref)
+
+
+class TestKernelAgainstPerTermOracle:
+    """The recurrence-phase kernel against the per-term cos/sin sum it
+    replaced; deg Phi > n occurs at n = 1, 2."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 50])
+    def test_small_n_full_grid(self, n):
+        for name, (evaluate, weight, phase) in KERNEL_CASES.items():
+            for a in KERNEL_A:
+                for x in KERNEL_X:
+                    assert_matches_oracle(evaluate(n, a, x), n, a, x, weight, phase, name)
+
+    @pytest.mark.parametrize("n", [400, 800])
+    def test_large_n(self, n):
+        # two cases and one x per a keep the oracle's per-term trig affordable
+        names = list(KERNEL_CASES)
+        for i, a in enumerate(KERNEL_A):
+            x = KERNEL_X[i % len(KERNEL_X)]
+            for name in (names[i % len(names)], names[(i + 3) % len(names)]):
+                evaluate, weight, phase = KERNEL_CASES[name]
+                assert_matches_oracle(evaluate(n, a, x), n, a, x, weight, phase, name)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        n=st.integers(1, 60),
+        a=st.floats(-3.0, 3.0),
+        x=st.floats(-6.0, 6.0),
+        weight=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=1, max_size=4),
+        phase=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+    )
+    def test_property(self, n, a, x, weight, phase):
+        value = fourier_sum(n, a, x, tuple(weight), tuple(phase))
+        assert_matches_oracle(value, n, a, x, weight, phase)
+
+
+class TestKernelCacheKey:
+    """Weights are cached per (n, a, W, precision): a different weight
+    must not reuse them, and a repeated call must not change the value."""
+
+    def test_h_changes_the_sum(self):
+        n, a, x = 30, 1.8, 0.6
+        affine = y_eval(n, a, x, G_SQUARE, H_AFFINE)
+        quadratic = y_eval(n, a, x, G_SQUARE, H_QUADRATIC)
+        assert affine != quadratic
+        assert_matches_oracle(affine, n, a, x, H_AFFINE.coeffs, G_SQUARE.coeffs)
+        assert_matches_oracle(quadratic, n, a, x, H_QUADRATIC.coeffs, G_SQUARE.coeffs)
+        assert y_eval(n, a, x, G_SQUARE, H_AFFINE) == affine
+        assert y_eval(n, a, x, G_SQUARE, H_QUADRATIC) == quadratic
+
+    def test_dpf_order_changes_the_sum(self):
+        n, a, x = 30, 1.8, 0.6
+        first = dpf_eval(n, a, x, 1)
+        second = dpf_eval(n, a, x, 2)
+        assert first != second
+        assert_matches_oracle(first, n, a, x, (0, 1j), (0, 1))
+        assert_matches_oracle(second, n, a, x, (0, 0, -1), (0, 1))
+        assert dpf_eval(n, a, x, 1) == first
+        assert dpf_eval(n, a, x, 2) == second
