@@ -19,6 +19,11 @@ both rather than silently repairing anything.  The corrections are:
   power 1), and the two moment sums carry factors k and k^2.
 * family-2, m=1 and m=2: tail prefactors ((1-x)t/2)^k (printed: power 1),
   and for m=2 the same leading-scalar repair.
+
+The table _PRINTED_DEFECTS encodes these corrections, one row per
+(family, m), and _dual_closed builds both forms from it.  The identity
+catalogue is the table _CATALOGUE: one check and one default grid per
+identity.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from . import classical
 from .coeffs import HALF_1_PLUS_X, half_power, c_coeff, c_derivative, c_recurrence_rhs, g_series
@@ -111,53 +117,82 @@ class GenFunParams:
         }
 
 
-def _apply_prefactor(series: ExpSeries, k: int, shift: int = None) -> ExpSeries:
-    """Multiply by (1/k!)((1-x)t/2)^shift (shift defaults to k)."""
-    s = k if shift is None else shift
-    return series_shift_tk(series, s).scale(half_power(False, s) / Rat(factorial(k)))
-
-
 @lru_cache(maxsize=None)
-def _hyper_block(l: int, k: int, family: int, order: int) -> ExpSeries:
-    if family == 1:
-        spec = HyperSpec((k,) * l, (k + 1,) * l)
+def _prefixed_block(tail: str, l: int, k: int, order: int, power: int) -> ExpSeries:
+    """P_power(T_l) = (1/k!)((1-x)t/2)^power T_l, where the l-th tail T_l is
+    a series in z = ((1+x)/2)t:
+
+    * "family-1" / "family-2": the definitional pFq block, l copies of k
+      over k+1 / of k+1 over k;
+    * "moment": sum_v z^v/(v+k)^l, the family-1 closed-form tail;
+    * "stirling": the Stirling expansion of the family-2 block,
+      miller_paris_rhs; e^z at l = 0, where miller_paris_rhs would reject
+      k = 0.
+    """
+    if tail == "moment":
+        series = exp_moment_series(k, order, HALF_1_PLUS_X, l)
+    elif tail == "stirling":
+        if l:
+            series = miller_paris_rhs(l, k, "general", order, HALF_1_PLUS_X)
+        else:
+            series = series_exp_linear(HALF_1_PLUS_X, order)
     else:
-        spec = HyperSpec((k + 1,) * l, (k,) * l)
-    return pfq_series(spec, HALF_1_PLUS_X, order)
+        upper, lower = (k, k + 1) if tail == "family-1" else (k + 1, k)
+        series = pfq_series(HyperSpec((upper,) * l, (lower,) * l), HALF_1_PLUS_X, order)
+    return series_shift_tk(series, power).scale(half_power(False, power) / Rat(factorial(k)))
 
 
-@lru_cache(maxsize=None)
-def _prefixed_block(l: int, k: int, family: int, order: int) -> ExpSeries:
-    return _apply_prefactor(_hyper_block(l, k, family, order), k)
-
-
-def _family_series(p: GenFunParams, family: int, order: int) -> ExpSeries:
+def _weighted_sum(p: GenFunParams, tail: str, order: int) -> ExpSeries:
+    """sum_l w_l P_k(T_l) over the weights w_l of p."""
     if p.k > order:
         raise ValueError(f"k={p.k} exceeds truncation order {order}")
-    if family == 2 and p.k == 0 and p.m >= 1:
+    if tail != "family-1" and p.k == 0 and p.m >= 1:
         raise ValueError("family-2 blocks have lower parameter k; k=0 is excluded")
     total = ExpSeries.zero(order)
     for l, w in enumerate(p.weights()):
         if w == 0:
             continue
-        total = total + _prefixed_block(l, p.k, family, order).scale(w)
+        total = total + _prefixed_block(tail, l, p.k, order, p.k).scale(w)
     return total
 
 
 def s1_series(p: GenFunParams, order: int = DEFAULT_ORDER) -> ExpSeries:
     """Definitional series of family 1 (upper k, lower k+1)."""
-    return _family_series(p, 1, order)
+    return _weighted_sum(p, "family-1", order)
 
 
 def s2_series(p: GenFunParams, order: int = DEFAULT_ORDER) -> ExpSeries:
     """Definitional series of family 2 (upper k+1, lower k); k >= 1 when
     m >= 1."""
-    return _family_series(p, 2, order)
+    return _weighted_sum(p, "family-2", order)
+
+
+def s2_stirling_closed(p: GenFunParams, order: int = DEFAULT_ORDER) -> ExpSeries:
+    """Family-2 series rebuilt from Stirling partition numbers instead of
+    Pochhammer ratios; must agree with s2_series exactly."""
+    return _weighted_sum(p, "stirling", order)
 
 
 def b_extract(series: ExpSeries, v: int) -> Poly:
     """Coefficient of t^v/v!."""
     return series.coefficient(v)
+
+
+class _Defects(NamedTuple):
+    """How a printed closed form departs from the corrected one."""
+
+    drops_k_power: bool  # tail l weighted by w_l, not by w_l k^l
+    tail_power_one: bool  # tail prefactor ((1-x)t/2)^1, not ((1-x)t/2)^k
+    lead_a2_over_n: bool  # lead a2 term 4k^2/n, not 4k^2/n^2
+
+
+#: printed-form defects of the dual closed forms, keyed by (family, m)
+_PRINTED_DEFECTS = {
+    (1, 1): _Defects(drops_k_power=True, tail_power_one=False, lead_a2_over_n=False),
+    (1, 2): _Defects(drops_k_power=True, tail_power_one=True, lead_a2_over_n=True),
+    (2, 1): _Defects(drops_k_power=False, tail_power_one=True, lead_a2_over_n=False),
+    (2, 2): _Defects(drops_k_power=False, tail_power_one=True, lead_a2_over_n=True),
+}
 
 
 def _require(p: GenFunParams, m: int):
@@ -167,114 +202,53 @@ def _require(p: GenFunParams, m: int):
         raise ValueError("closed form needs k >= 1 (moment integral diverges at k=0)")
 
 
-def s1_m1_closed(p: GenFunParams, order: int = DEFAULT_ORDER):
-    """Printed and corrected single-integral closed forms of family 1 at
-    m=1; the corrected one carries the factor k restored on the moment
-    term."""
-    _require(p, 1)
-    a0, a1 = p.alphas
-    k, n = p.k, p.n
-    lead = a0 + a1 * Rat(-2 * k, n)
-    g = g_series(k, order).scale(lead)
-    moment = _apply_prefactor(exp_moment_series(k, order, HALF_1_PLUS_X, 1), k)
-    printed = g + moment.scale(a1)
-    corrected = g + moment.scale(a1 * k)
+def _dual_closed(p: GenFunParams, family: int, m: int, order: int):
+    """Printed and corrected closed forms of one family at m = 1 or 2.
+
+    The corrected form is sum_l w_l c_l P_k(T_l) with P_k(T_0) = g_k.  For
+    l >= 1 the tail T_l is the moment tail with c_l = k^l in family 1 and
+    the family-2 block with c_l = 1 in family 2.  The printed form carries
+    the defects _PRINTED_DEFECTS lists for (family, m).
+    """
+    _require(p, m)
+    defects = _PRINTED_DEFECTS[family, m]
+    k, w = p.k, p.weights()
+    g = g_series(k, order)
+    printed_lead = w[0]
+    if defects.lead_a2_over_n:
+        printed_lead += p.alphas[2] * (Rat(4 * k * k, p.n) - Rat(4 * k * k, p.n * p.n))
+    printed, corrected = g.scale(printed_lead), g.scale(w[0])
+    tail = "moment" if family == 1 else "family-2"
+    printed_power = 1 if defects.tail_power_one else k
+    for l in range(1, m + 1):
+        c = k**l if family == 1 else 1
+        corrected = corrected + _prefixed_block(tail, l, k, order, k).scale(w[l] * c)
+        if defects.drops_k_power:
+            c = 1
+        printed = printed + _prefixed_block(tail, l, k, order, printed_power).scale(w[l] * c)
     return printed, corrected
+
+
+def s1_m1_closed(p: GenFunParams, order: int = DEFAULT_ORDER):
+    """Printed and corrected closed forms of family 1 at m=1 (one moment
+    tail)."""
+    return _dual_closed(p, 1, 1, order)
 
 
 def s1_m2_closed(p: GenFunParams, order: int = DEFAULT_ORDER):
     """Printed and corrected closed forms of family 1 at m=2 (two moment
-    tails).  See the module docstring for the three printed defects."""
-    _require(p, 2)
-    a0, a1, a2 = p.alphas
-    k, n = p.k, p.n
-    lead_corr = a0 + a1 * Rat(-2 * k, n) + a2 * Rat(4 * k * k, n * n)
-    lead_printed = a0 + a1 * Rat(-2 * k, n) + a2 * Rat(4 * k * k, n)
-    w1 = a1 + a2 * Rat(-4 * k, n)
-    j1 = exp_moment_series(k, order, HALF_1_PLUS_X, 1)
-    j2 = exp_moment_series(k, order, HALF_1_PLUS_X, 2)
-    printed = (
-        g_series(k, order).scale(lead_printed)
-        + _apply_prefactor(j1, k, shift=1).scale(w1)
-        + _apply_prefactor(j2, k, shift=1).scale(a2)
-    )
-    corrected = (
-        g_series(k, order).scale(lead_corr)
-        + _apply_prefactor(j1, k).scale(w1 * k)
-        + _apply_prefactor(j2, k).scale(a2 * k * k)
-    )
-    return printed, corrected
+    tails)."""
+    return _dual_closed(p, 1, 2, order)
 
 
 def s2_m1_closed(p: GenFunParams, order: int = DEFAULT_ORDER):
-    """Printed and corrected closed forms of family 2 at m=1; printed has
-    the tail prefactor at power 1 instead of k."""
-    _require(p, 1)
-    a0, a1 = p.alphas
-    k, n = p.k, p.n
-    g = g_series(k, order).scale(a0 + a1 * Rat(-2 * k, n))
-    block = _hyper_block(1, k, 2, order)
-    printed = g + _apply_prefactor(block, k, shift=1).scale(a1)
-    corrected = g + _apply_prefactor(block, k).scale(a1)
-    return printed, corrected
+    """Printed and corrected closed forms of family 2 at m=1."""
+    return _dual_closed(p, 2, 1, order)
 
 
 def s2_m2_closed(p: GenFunParams, order: int = DEFAULT_ORDER):
     """Printed and corrected closed forms of family 2 at m=2."""
-    _require(p, 2)
-    a0, a1, a2 = p.alphas
-    k, n = p.k, p.n
-    lead_corr = a0 + a1 * Rat(-2 * k, n) + a2 * Rat(4 * k * k, n * n)
-    lead_printed = a0 + a1 * Rat(-2 * k, n) + a2 * Rat(4 * k * k, n)
-    w1 = a1 + a2 * Rat(-4 * k, n)
-    b1 = _hyper_block(1, k, 2, order)
-    b2 = _hyper_block(2, k, 2, order)
-    printed = (
-        g_series(k, order).scale(lead_printed)
-        + _apply_prefactor(b1, k, shift=1).scale(w1)
-        + _apply_prefactor(b2, k, shift=1).scale(a2)
-    )
-    corrected = (
-        g_series(k, order).scale(lead_corr)
-        + _apply_prefactor(b1, k).scale(w1)
-        + _apply_prefactor(b2, k).scale(a2)
-    )
-    return printed, corrected
-
-
-@lru_cache(maxsize=None)
-def _stirling_block(l: int, k: int, order: int) -> ExpSeries:
-    """Prefixed Stirling expansion of the family-2 block:
-    (1/k!)((1-x)t/2)^k k^{-l} e^z sum_c C(l,c) k^{l-c} sum_d S2(c,d) z^d
-    with z = ((1+x)/2) t."""
-    if l >= 1 and k == 0:
-        raise ValueError("Stirling expansion needs k >= 1 for l >= 1")
-    expz = series_exp_linear(HALF_1_PLUS_X, order)
-    inner = ExpSeries.zero(order)
-    for c in range(l + 1):
-        outer = Rat(binomial(l, c) * k ** (l - c), k**l if l else 1)
-        for d in range(c + 1):
-            s2 = stirling2(c, d)
-            if s2:
-                inner = inner + series_shift_tk(expz, d).scale(
-                    half_power(True, d) * (outer * s2)
-                )
-    return _apply_prefactor(inner, k)
-
-
-def s2_stirling_closed(p: GenFunParams, order: int = DEFAULT_ORDER) -> ExpSeries:
-    """Family-2 series rebuilt from Stirling partition numbers instead of
-    Pochhammer ratios; must agree with s2_series exactly."""
-    if p.k == 0 and p.m >= 1:
-        raise ValueError("needs k >= 1 when m >= 1")
-    if p.k > order:
-        raise ValueError(f"k={p.k} exceeds truncation order {order}")
-    total = ExpSeries.zero(order)
-    for l, w in enumerate(p.weights()):
-        if w == 0:
-            continue
-        total = total + _stirling_block(l, p.k, order).scale(w)
-    return total
+    return _dual_closed(p, 2, 2, order)
 
 
 @lru_cache(maxsize=None)
@@ -335,54 +309,19 @@ def b2_k1_explicit(v: int, p: GenFunParams) -> Poly:
 # identity verifier
 
 
-def _series_report(identity_id, params, lhs, rhs, order) -> IdentityReport:
-    v = lhs.first_difference(rhs)
-    if v is None:
-        return IdentityReport(identity_id, params, order, VERIFIED)
-    return IdentityReport(
-        identity_id,
-        params,
-        order,
-        MISMATCH,
-        Divergence(v=v, lhs=str(lhs.coefficient(v)), rhs=str(rhs.coefficient(v))),
-    )
-
-
-def _poly_seq_report(identity_id, params, pairs, order) -> IdentityReport:
-    for v, (lhs, rhs) in enumerate(pairs):
-        if lhs != rhs:
-            return IdentityReport(
-                identity_id,
-                params,
-                order,
-                MISMATCH,
-                Divergence(v=v, lhs=str(lhs), rhs=str(rhs)),
-            )
+def _report(identity_id, params, order, lhs, rhs, status=MISMATCH) -> IdentityReport:
+    """Compare two ExpSeries coefficient by coefficient, or two other
+    values as one pair: verified when all agree, otherwise status with the
+    first unequal pair as the divergence at its index v."""
+    if isinstance(lhs, ExpSeries):
+        pairs = zip(lhs.coeffs, rhs.coeffs, strict=True)
+    else:
+        pairs = [(lhs, rhs)]
+    for v, (a, b) in enumerate(pairs):
+        if a != b:
+            divergence = Divergence(v=v, lhs=str(a), rhs=str(b))
+            return IdentityReport(identity_id, params, order, status, divergence)
     return IdentityReport(identity_id, params, order, VERIFIED)
-
-
-def _dual_report(identity_id, params, printed, corrected, reference, order, variant) -> IdentityReport:
-    corr_v = corrected.first_difference(reference)
-    if variant == "corrected":
-        return _series_report(identity_id, params, corrected, reference, order)
-    if variant == "printed":
-        printed_v = printed.first_difference(reference)
-        if printed_v is None:
-            return _series_report(identity_id, params, corrected, reference, order)
-        if corr_v is None:
-            return IdentityReport(
-                identity_id,
-                params,
-                order,
-                PRINTED_MISMATCH,
-                Divergence(
-                    v=printed_v,
-                    lhs=str(printed.coefficient(printed_v)),
-                    rhs=str(reference.coefficient(printed_v)),
-                ),
-            )
-        return _series_report(identity_id, params, corrected, reference, order)
-    raise ValueError(f"unknown variant {variant!r}")
 
 
 def _params_from(params: dict) -> GenFunParams:
@@ -391,221 +330,192 @@ def _params_from(params: dict) -> GenFunParams:
     )
 
 
-def _check_g_closed_form(params, order):
-    k = params["k"]
-    lhs = g_series(k, order)
-    rhs = ExpSeries([c_coeff(k, v) for v in range(order + 1)])
-    return _series_report("g-closed-form", {"k": k}, lhs, rhs, order)
+def _point_check(keys, sides):
+    """Check whose point is the given keys of its params and whose two
+    sides are sides(**point, order=order)."""
+
+    def check(identity_id, params, order):
+        point = {key: params[key] for key in keys}
+        return _report(identity_id, point, order, *sides(**point, order=order))
+
+    return check
 
 
-def _check_recurrence(params, order):
-    k, n = params["k"], params["n"]
-    return _poly_seq_report(
-        "recurrence",
-        {"k": k, "n": n},
-        [(c_recurrence_rhs(k, n), c_coeff(k, n + 1))],
-        order,
-    )
+def _genfun_check(sides):
+    """Check at a GenFunParams point p whose two sides are sides(p, order)."""
+
+    def check(identity_id, params, order):
+        p = _params_from(params)
+        return _report(identity_id, p.json_dict(), order, *sides(p, order))
+
+    return check
 
 
-def _check_derivative(params, order):
-    k, n = params["k"], params["n"]
-    rhs = (c_coeff(k, n - 1) - c_coeff(k - 1, n - 1)) * Rat(n, 2)
-    return _poly_seq_report(
-        "derivative", {"k": k, "n": n}, [(c_derivative(k, n), rhs)], order
-    )
+def _dual_check(build):
+    """Check of a printed/corrected closed-form pair, build(p, order) giving
+    (printed, corrected, reference).  The "corrected" variant reports the
+    corrected form.  The "printed" variant (default) reports a printed form
+    that diverges while the corrected form holds as a printed mismatch."""
+
+    def check(identity_id, params, order):
+        variant = params.get("variant", "printed")
+        if variant not in ("printed", "corrected"):
+            raise ValueError(f"unknown variant {variant!r}")
+        p = _params_from(params)
+        printed, corrected, reference = build(p, order)
+        out = {**p.json_dict(), "variant": variant}
+        report = _report(identity_id, out, order, corrected, reference)
+        if variant == "printed" and report.status == VERIFIED:
+            report = _report(identity_id, out, order, printed, reference, PRINTED_MISMATCH)
+        return report
+
+    return check
 
 
-def _check_dual_closed(identity_id, params, order):
-    p = _params_from(params)
-    variant = params.get("variant", "printed")
-    builder = {
-        "s1-m1": (s1_m1_closed, s1_series),
-        "s1-m2": (s1_m2_closed, s1_series),
-        "s2-m1": (s2_m1_closed, s2_series),
-        "s2-m2": (s2_m2_closed, s2_series),
-    }[identity_id]
-    printed, corrected = builder[0](p, order)
-    reference = builder[1](p, order)
-    out_params = p.json_dict()
-    out_params["variant"] = variant
-    return _dual_report(identity_id, out_params, printed, corrected, reference, order, variant)
-
-
-def _check_s2_stirling(params, order):
-    p = _params_from(params)
-    return _series_report(
-        "s2-stirling", p.json_dict(), s2_stirling_closed(p, order), s2_series(p, order), order
-    )
-
-
-def _check_ay2(params, order):
-    p = _params_from(params)
-    series = s2_series(p, order)
-    pairs = [(b2_explicit(v, p), b_extract(series, v)) for v in range(order + 1)]
-    return _poly_seq_report("ay-2", p.json_dict(), pairs, order)
-
-
-def _check_b2_k1(params, order):
-    p = _params_from(params)
-    if p.k != 1:
-        raise ValueError("b2-k1 is the k = 1 formula")
-    series = s2_series(p, order)
-    pairs = [(b2_k1_explicit(v, p), b_extract(series, v)) for v in range(order + 1)]
-    return _poly_seq_report("b2-k1", p.json_dict(), pairs, order)
-
-
-def _check_miller_paris(params, order):
-    a, c = params["a"], params["c"]
-    lhs = miller_paris_lhs(a, c, order)
-    rhs = miller_paris_rhs(a, c, "general", order)
-    return _series_report("miller-paris", {"a": a, "c": c}, lhs, rhs, order)
-
-
-def _check_16a(params, order):
-    a = params["a"]
-    lhs = miller_paris_lhs(a, 1, order)
-    rhs = miller_paris_rhs(a, 1, "c_equals_1", order)
-    return _series_report("16a", {"a": a}, lhs, rhs, order)
-
-
-def _check_bernstein_map(params, order):
-    k, v = params["k"], params["v"]
-    lhs = c_coeff(k, v).compose(classical.ONE_MINUS_2Y)
-    rhs = classical.bernstein(k, v)
-    return _poly_seq_report("bernstein-map", {"k": k, "v": v}, [(lhs, rhs)], order)
-
-
-def _check_hermite_conv(params, order):
-    return classical.hermite_conv_theorem(params["k"], params["n"], order)
-
-
-def _check_heat_equation(params, order):
+def _check_heat_equation(identity_id, params, order):
+    # the residual is a BiPoly in x and y: it is rendered whole, at v = 0
     n = params["n"]
     residual = classical.heat_residual(n)
     if residual.is_zero:
-        return IdentityReport("heat-equation", {"n": n}, order, VERIFIED)
-    return IdentityReport(
-        "heat-equation",
-        {"n": n},
-        order,
-        MISMATCH,
-        Divergence(v=0, lhs=residual.to_string(), rhs="0"),
-    )
+        return IdentityReport(identity_id, {"n": n}, order, VERIFIED)
+    divergence = Divergence(v=0, lhs=residual.to_string(), rhs="0")
+    return IdentityReport(identity_id, {"n": n}, order, MISMATCH, divergence)
 
 
-def _check_hermite_kummer(params, order):
-    n = params["n"]
-    return _poly_seq_report(
-        "hermite-kummer",
-        {"n": n},
-        [(classical.hermite(n), classical.hermite_from_kummer(n))],
-        order,
-    )
+# ---------------------------------------------------------------------------
+# the catalogue
+
+DEFAULT_ALPHA_SET = (Rat(-1), Rat(1, 2), Rat(1))
+
+#: largest m on the s2-stirling, ay-2 and b2-k1 grids
+_MAX_M = 3
 
 
-_CHECKS = {
-    "recurrence": _check_recurrence,
-    "derivative": _check_derivative,
-    "g-closed-form": _check_g_closed_form,
-    "s1-m1": lambda p, o: _check_dual_closed("s1-m1", p, o),
-    "s1-m2": lambda p, o: _check_dual_closed("s1-m2", p, o),
-    "s2-m1": lambda p, o: _check_dual_closed("s2-m1", p, o),
-    "s2-m2": lambda p, o: _check_dual_closed("s2-m2", p, o),
-    "s2-stirling": _check_s2_stirling,
-    "ay-2": _check_ay2,
-    "b2-k1": _check_b2_k1,
-    "bernstein-map": _check_bernstein_map,
-    "miller-paris": _check_miller_paris,
-    "16a": _check_16a,
-    "hermite-conv": _check_hermite_conv,
-    "heat-equation": _check_heat_equation,
-    "hermite-kummer": _check_hermite_kummer,
+class _Grid(NamedTuple):
+    max_n: int
+    max_k: int
+    alpha_set: tuple
+
+
+class _Identity(NamedTuple):
+    check: Callable  # (identity_id, params, order) -> IdentityReport
+    grid: Callable  # _Grid -> the default parameter points, in order
+
+
+def _genfun_grid(ms, ks=None):
+    """Points (m, k, n, alphas) for m in ms, k in ks (default 1..max_k),
+    n in 1..max_n and every alpha tuple."""
+
+    def points(grid: _Grid):
+        for m in ms:
+            for k in ks or range(1, grid.max_k + 1):
+                for n in range(1, grid.max_n + 1):
+                    for alphas in itertools.product(grid.alpha_set, repeat=m + 1):
+                        yield {"m": m, "k": k, "n": n, "alphas": alphas}
+
+    return points
+
+
+#: Every identity in report order.  The checks look the builders up by
+#: name when they run, so rebinding a module-level builder (to patch or
+#: to profile it) reaches every check that uses it.
+_CATALOGUE = {
+    "recurrence": _Identity(
+        _point_check(("k", "n"), lambda k, n, order: (c_recurrence_rhs(k, n), c_coeff(k, n + 1))),
+        lambda grid: ({"k": k, "n": n} for n in range(grid.max_n + 1) for k in range(n + 2)),
+    ),
+    "derivative": _Identity(
+        _point_check(("k", "n"), lambda k, n, order: (
+            c_derivative(k, n), (c_coeff(k, n - 1) - c_coeff(k - 1, n - 1)) * Rat(n, 2))),
+        lambda grid: ({"k": k, "n": n} for n in range(1, grid.max_n + 1) for k in range(n + 1)),
+    ),
+    "g-closed-form": _Identity(
+        _point_check(("k",), lambda k, order: (
+            g_series(k, order), ExpSeries([c_coeff(k, v) for v in range(order + 1)]))),
+        lambda grid: ({"k": k} for k in range(grid.max_k + 1)),
+    ),
+    "s1-m1": _Identity(
+        _dual_check(lambda p, order: (*s1_m1_closed(p, order), s1_series(p, order))),
+        _genfun_grid((1,)),
+    ),
+    "s1-m2": _Identity(
+        _dual_check(lambda p, order: (*s1_m2_closed(p, order), s1_series(p, order))),
+        _genfun_grid((2,)),
+    ),
+    "s2-m1": _Identity(
+        _dual_check(lambda p, order: (*s2_m1_closed(p, order), s2_series(p, order))),
+        _genfun_grid((1,)),
+    ),
+    "s2-m2": _Identity(
+        _dual_check(lambda p, order: (*s2_m2_closed(p, order), s2_series(p, order))),
+        _genfun_grid((2,)),
+    ),
+    "s2-stirling": _Identity(
+        _genfun_check(lambda p, order: (s2_stirling_closed(p, order), s2_series(p, order))),
+        _genfun_grid(range(_MAX_M + 1)),
+    ),
+    # the explicit coefficients b_v, as one series against s2_series
+    "ay-2": _Identity(
+        _genfun_check(lambda p, order: (
+            ExpSeries([b2_explicit(v, p) for v in range(order + 1)]), s2_series(p, order))),
+        _genfun_grid(range(_MAX_M + 1)),
+    ),
+    "b2-k1": _Identity(
+        _genfun_check(lambda p, order: (
+            ExpSeries([b2_k1_explicit(v, p) for v in range(order + 1)]), s2_series(p, order))),
+        _genfun_grid(range(_MAX_M + 1), ks=(1,)),
+    ),
+    "bernstein-map": _Identity(
+        _point_check(("k", "v"), lambda k, v, order: (
+            c_coeff(k, v).compose(classical.ONE_MINUS_2Y), classical.bernstein(k, v))),
+        lambda grid: ({"k": k, "v": v} for v in range(9) for k in range(v + 1)),
+    ),
+    "miller-paris": _Identity(
+        _point_check(("a", "c"), lambda a, c, order: (
+            miller_paris_lhs(a, c, order), miller_paris_rhs(a, c, "general", order))),
+        lambda grid: ({"a": a, "c": c} for a in range(4) for c in range(1, 5)),
+    ),
+    "16a": _Identity(
+        _point_check(("a",), lambda a, order: (
+            miller_paris_lhs(a, 1, order), miller_paris_rhs(a, 1, "c_equals_1", order))),
+        lambda grid: ({"a": a} for a in range(4)),
+    ),
+    # classical's own report, whose v indexes powers of x
+    "hermite-conv": _Identity(
+        lambda identity_id, params, order: classical.hermite_conv_theorem(
+            params["k"], params["n"], order),
+        lambda grid: ({"k": k, "n": n} for n in range(grid.max_n + 1) for k in range(n + 1)),
+    ),
+    "heat-equation": _Identity(_check_heat_equation, lambda grid: ({"n": n} for n in range(9))),
+    "hermite-kummer": _Identity(
+        _point_check(("n",), lambda n, order: (
+            classical.hermite(n), classical.hermite_from_kummer(n))),
+        lambda grid: ({"n": n} for n in range(12)),
+    ),
 }
 
-IDENTITY_IDS = tuple(_CHECKS)
+IDENTITY_IDS = tuple(_CATALOGUE)
 
 
 def verify_identity(identity_id: str, params: dict, order: int = DEFAULT_ORDER) -> IdentityReport:
     """Compare both sides of one catalogued identity at one parameter
     point, coefficientwise and exactly; never raises on mismatch."""
     try:
-        check = _CHECKS[identity_id]
+        check = _CATALOGUE[identity_id].check
     except KeyError:
         raise ValueError(
             f"unknown identity {identity_id!r}; known: {', '.join(IDENTITY_IDS)}"
         ) from None
-    return check(params, order)
+    return check(identity_id, params, order)
 
 
-# ---------------------------------------------------------------------------
-# parameter grids
-
-DEFAULT_ALPHA_SET = (Rat(-1), Rat(1, 2), Rat(1))
-
-
-def _alpha_tuples(m: int, alpha_set):
-    return itertools.product(alpha_set, repeat=m + 1)
-
-
-def suite_points(name: str, max_n: int = 10, max_k: int = 6, max_m: int = 3, alpha_set=DEFAULT_ALPHA_SET):
+def suite_points(name: str, max_n: int = 10, max_k: int = 6, alpha_set=DEFAULT_ALPHA_SET):
     """Default parameter grid for one identity, as (identity_id, params)
     pairs."""
-    if name == "g-closed-form":
-        for k in range(max_k + 1):
-            yield name, {"k": k}
-    elif name == "recurrence":
-        for n in range(max_n + 1):
-            for k in range(n + 2):
-                yield name, {"k": k, "n": n}
-    elif name == "derivative":
-        for n in range(1, max_n + 1):
-            for k in range(n + 1):
-                yield name, {"k": k, "n": n}
-    elif name in ("s1-m1", "s2-m1"):
-        for k in range(1, max_k + 1):
-            for n in range(1, max_n + 1):
-                for alphas in _alpha_tuples(1, alpha_set):
-                    yield name, {"m": 1, "k": k, "n": n, "alphas": alphas}
-    elif name in ("s1-m2", "s2-m2"):
-        for k in range(1, max_k + 1):
-            for n in range(1, max_n + 1):
-                for alphas in _alpha_tuples(2, alpha_set):
-                    yield name, {"m": 2, "k": k, "n": n, "alphas": alphas}
-    elif name in ("s2-stirling", "ay-2"):
-        for m in range(max_m + 1):
-            for k in range(1, max_k + 1):
-                for n in range(1, max_n + 1):
-                    for alphas in _alpha_tuples(m, alpha_set):
-                        yield name, {"m": m, "k": k, "n": n, "alphas": alphas}
-    elif name == "b2-k1":
-        for m in range(max_m + 1):
-            for n in range(1, max_n + 1):
-                for alphas in _alpha_tuples(m, alpha_set):
-                    yield name, {"m": m, "k": 1, "n": n, "alphas": alphas}
-    elif name == "miller-paris":
-        for a in range(4):
-            for c in range(1, 5):
-                yield name, {"a": a, "c": c}
-    elif name == "16a":
-        for a in range(4):
-            yield name, {"a": a}
-    elif name == "bernstein-map":
-        for v in range(9):
-            for k in range(v + 1):
-                yield name, {"k": k, "v": v}
-    elif name == "hermite-conv":
-        for n in range(max_n + 1):
-            for k in range(n + 1):
-                yield name, {"k": k, "n": n}
-    elif name == "heat-equation":
-        for n in range(9):
-            yield name, {"n": n}
-    elif name == "hermite-kummer":
-        for n in range(12):
-            yield name, {"n": n}
-    else:
+    if name not in _CATALOGUE:
         raise ValueError(f"unknown suite {name!r}")
+    for params in _CATALOGUE[name].grid(_Grid(max_n, max_k, alpha_set)):
+        yield name, params
 
 
 def run_suite(
@@ -613,7 +523,6 @@ def run_suite(
     order: int = DEFAULT_ORDER,
     max_n: int = 10,
     max_k: int = 6,
-    max_m: int = 3,
     alpha_set=DEFAULT_ALPHA_SET,
 ):
     """Run one suite (or "all") over its default grid; returns the report
@@ -621,6 +530,6 @@ def run_suite(
     names = IDENTITY_IDS if name == "all" else (name,)
     reports = []
     for suite in names:
-        for identity_id, params in suite_points(suite, max_n, max_k, max_m, alpha_set):
+        for identity_id, params in suite_points(suite, max_n, max_k, alpha_set):
             reports.append(verify_identity(identity_id, params, order))
     return reports

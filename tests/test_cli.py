@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -50,6 +51,13 @@ SUPERSHIFT_GOLDEN = {
         "30,0.5,-1.1132699985453625,-0.90906699873051067\n"
         "30,1,-0.29759216466345351,-1.4430615653931624\n",
     ),
+}
+
+#: SHA-256 of the stdout of verify --suite all --max-n 2 --max-k 2
+#: --order 6 (1597 checks, 198 of them printed-form mismatches), by format
+VERIFY_GOLDEN_SHA256 = {
+    "json": "954a0f985765cd9a77bac49796b33b5d8845c9525644e48102153d702c0d2cd6",
+    "csv": "dbb86f21f1057d045af0c938b83298cd7c82b2b53610b5ab844bbfe3fc7726b5",
 }
 
 
@@ -193,6 +201,16 @@ class TestVerify:
         payload = json.loads(out)
         jsonschema.validate(payload[0], REPORT_SCHEMA)
         assert payload[0]["status"] == "mismatch"
+
+    @pytest.mark.parametrize("fmt", sorted(VERIFY_GOLDEN_SHA256))
+    def test_golden_bytes(self, capsys, fmt):
+        code, out = run_cli(
+            capsys,
+            ["verify", "--suite", "all", "--max-n", "2", "--max-k", "2", "--order", "6",
+             "--format", fmt],
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GOLDEN_SHA256[fmt]
 
     def test_csv_format(self, capsys):
         code, out = run_cli(

@@ -7,6 +7,7 @@ import sympy
 from superosc.coeffs import HALF_1_MINUS_X, HALF_1_PLUS_X, c_coeff, g_series
 from superosc.combinat import stirling2
 from superosc.exact import ExpSeries, Rat, series_exp_linear, series_shift_tk
+from superosc import genfun
 from superosc.genfun import (
     DEFAULT_ALPHA_SET,
     GenFunParams,
@@ -22,6 +23,7 @@ from superosc.genfun import (
     s2_m2_closed,
     s2_series,
     s2_stirling_closed,
+    suite_points,
     verify_identity,
 )
 from superosc.report import MISMATCH, PRINTED_MISMATCH, REPORT_SCHEMA, VERIFIED, IdentityReport
@@ -309,25 +311,46 @@ class TestVerifier:
             jsonschema.validate(payload, REPORT_SCHEMA)
 
     def test_identity_catalogue_complete(self):
+        # identity -> number of points on its default grid, in report order
         expected = {
-            "recurrence",
-            "derivative",
-            "g-closed-form",
-            "s1-m1",
-            "s1-m2",
-            "s2-stirling",
-            "s2-m1",
-            "s2-m2",
-            "ay-2",
-            "b2-k1",
-            "bernstein-map",
-            "miller-paris",
-            "16a",
-            "hermite-conv",
-            "heat-equation",
-            "hermite-kummer",
+            "recurrence": 77,
+            "derivative": 65,
+            "g-closed-form": 7,
+            "s1-m1": 540,
+            "s1-m2": 1620,
+            "s2-m1": 540,
+            "s2-m2": 1620,
+            "s2-stirling": 7200,
+            "ay-2": 7200,
+            "b2-k1": 1200,
+            "bernstein-map": 45,
+            "miller-paris": 16,
+            "16a": 4,
+            "hermite-conv": 66,
+            "heat-equation": 9,
+            "hermite-kummer": 12,
         }
-        assert set(IDENTITY_IDS) == expected
+        assert IDENTITY_IDS == tuple(expected)
+        sizes = {name: sum(1 for _ in suite_points(name)) for name in IDENTITY_IDS}
+        assert sizes == expected
+        assert sum(sizes.values()) == 20221
+
+    def test_unknown_variant_rejected_before_building(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("built a series for an unknown variant")
+
+        for name in ("s1_m1_closed", "s1_series"):
+            monkeypatch.setattr(genfun, name, fail)
+        params = {"m": 1, "k": 2, "n": 3, "alphas": (1, 1), "variant": "nope"}
+        with pytest.raises(ValueError, match="unknown variant 'nope'"):
+            verify_identity("s1-m1", params)
+
+    def test_s2_stirling_at_k_zero(self):
+        # the l = 0 Stirling block is e^z even at k = 0, where the
+        # Miller-Paris form itself is undefined
+        assert s2_stirling_closed(GenFunParams(0, 0, 1, (1,)), 10) == g_series(0, 10)
+        report = verify_identity("s2-stirling", {"m": 0, "k": 0, "n": 1, "alphas": (1,)})
+        assert report.status == VERIFIED
 
     def test_run_suite_small_grids(self):
         for name in ("derivative", "bernstein-map", "16a", "heat-equation"):
