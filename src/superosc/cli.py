@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .classical import bernstein, hermite
-from .coeffs import c_coeff, convergence_profile, f_eval, sample_grid
+from .coeffs import c_coeff, f_eval, sample_grid
 from .combinat import stirling2
 from .exact import DEFAULT_ORDER, Rat, as_rat
 from .genfun import (

@@ -30,7 +30,10 @@ RAT_ONE = Rat(1)
 
 
 def as_rat(value) -> Rat:
-    """Coerce an int, string like "p/q", Fraction, or Rat to Rat."""
+    """Coerce an int, string like "p/q", Fraction, or Rat to Rat; a Rat is
+    returned as it is."""
+    if type(value) is Rat:
+        return value
     if isinstance(value, float):
         raise TypeError("refusing to coerce float to exact rational")
     if isinstance(value, str):
@@ -58,11 +61,7 @@ class Poly:
 
     @classmethod
     def const(cls, value) -> "Poly":
-        return cls((as_rat(value),))
-
-    @classmethod
-    def variable(cls) -> "Poly":
-        return cls((RAT_ZERO, RAT_ONE))
+        return cls((value,))
 
     @property
     def is_zero(self) -> bool:
@@ -194,7 +193,6 @@ class Poly:
 
 ZERO_POLY = Poly()
 ONE_POLY = Poly((RAT_ONE,))
-X = Poly((RAT_ZERO, RAT_ONE))
 
 
 def _as_poly(value) -> Poly:
@@ -253,7 +251,6 @@ class ExpSeries:
     def scale(self, factor) -> "ExpSeries":
         """Multiply every coefficient by a Rat or Poly factor (i.e. by a
         t-free quantity)."""
-        factor = _as_poly(factor)
         return ExpSeries([c * factor for c in self.coeffs])
 
     def __mul__(self, other: "ExpSeries") -> "ExpSeries":
@@ -289,8 +286,7 @@ class ExpSeries:
         for v, c in enumerate(self.coeffs):
             if v:
                 tpow = tpow * t_value
-            term = c(x_value) * tpow
-            acc = acc + (term / math.factorial(v) if not exact else term / Rat(math.factorial(v)))
+            acc = acc + c(x_value) * tpow / math.factorial(v)
         return acc
 
     def __repr__(self):
@@ -315,13 +311,22 @@ def series_mul(a: ExpSeries, b: ExpSeries) -> ExpSeries:
     return ExpSeries(out)
 
 
+def series_powers(c, scalars) -> ExpSeries:
+    """Series whose t^v/v! coefficient is scalars[v] * c^v, for a Poly (or
+    Rat) c and rational scalars; its order is len(scalars) - 1."""
+    c = _as_poly(c)
+    out = []
+    power = ONE_POLY
+    for v, scalar in enumerate(scalars):
+        if v:
+            power = power * c
+        out.append(power * scalar)
+    return ExpSeries(out)
+
+
 def series_exp_linear(c, order: int) -> ExpSeries:
     """Series of exp(c*t) for a Poly (or Rat) c: coefficient b_v = c^v."""
-    c = _as_poly(c)
-    out = [ONE_POLY]
-    for _ in range(order):
-        out.append(out[-1] * c)
-    return ExpSeries(out)
+    return series_powers(c, [RAT_ONE] * (order + 1))
 
 
 def series_shift_tk(a: ExpSeries, k: int) -> ExpSeries:

@@ -506,6 +506,8 @@ def verify_identity(identity_id: str, params: dict, order: int = DEFAULT_ORDER) 
         raise ValueError(
             f"unknown identity {identity_id!r}; known: {', '.join(IDENTITY_IDS)}"
         ) from None
+    if order < 0:
+        raise ValueError(f"truncation order must be >= 0, got {order}")
     return check(identity_id, params, order)
 
 

@@ -11,16 +11,8 @@ from functools import lru_cache
 
 from scipy.integrate import quad
 
-from .combinat import binomial, factorial, stirling2
-from .exact import (
-    ExpSeries,
-    ONE_POLY,
-    Poly,
-    Rat,
-    as_rat,
-    series_exp_linear,
-    series_shift_tk,
-)
+from .combinat import binomial, stirling2
+from .exact import ExpSeries, ONE_POLY, Poly, Rat, as_rat, series_powers
 
 #: stop the float partial sum after this many consecutive negligible terms
 #: (terms are not monotone for negative upper parameters)
@@ -68,21 +60,16 @@ def pfq_series(spec: HyperSpec, zscale: Poly, order: int) -> ExpSeries:
     (prod (b_j)_rising^m / prod (g_j)_rising^m) * zscale^m.  No convergence
     condition applies to a formal truncation.
     """
-    coeffs = []
-    ratio = Rat(1)
-    zpow = ONE_POLY
-    for m in range(order + 1):
-        if m:
-            num = Rat(1)
-            for b in spec.upper:
-                num *= b + (m - 1)
-            den = Rat(1)
-            for g in spec.lower:
-                den *= g + (m - 1)
-            ratio = ratio * num / den
-            zpow = zpow * zscale
-        coeffs.append(zpow * ratio)
-    return ExpSeries(coeffs)
+    ratios = [Rat(1)]
+    for m in range(1, order + 1):
+        num = Rat(1)
+        for b in spec.upper:
+            num *= b + (m - 1)
+        den = Rat(1)
+        for g in spec.lower:
+            den *= g + (m - 1)
+        ratios.append(ratios[-1] * num / den)
+    return series_powers(zscale, ratios)
 
 
 def pfq_eval_float(spec: HyperSpec, z: float, tol: float) -> float:
@@ -153,13 +140,7 @@ def exp_moment_series(k: int, order: int, zscale: Poly, power: int = 1) -> ExpSe
     (k = 0 makes the v = 0 term diverge)."""
     if k < 1:
         raise ValueError("moment series needs k >= 1")
-    coeffs = []
-    zpow = ONE_POLY
-    for v in range(order + 1):
-        if v:
-            zpow = zpow * zscale
-        coeffs.append(zpow * (Rat(1, v + k) ** power))
-    return ExpSeries(coeffs)
+    return series_powers(zscale, [Rat(1, v + k) ** power for v in range(order + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -173,37 +154,30 @@ def miller_paris_rhs(
         c^{-a} e^z sum_{v<=a} C(a,v) c^{a-v} sum_{d<=v} S2(v,d) z^d
     variant="c_equals_1" (requires c=1):
         e^z sum_{v<=a} S2(a+1, v+1) z^v
-    with z = zscale*t.
+    with z = zscale*t.  Either form is e^z sum_{d<=a} a_d z^d, and z^d e^z
+    has t^v/v! coefficient v!/(v-d)! zscale^v.
     """
     if c < 1:
         raise ValueError("lower parameter c must be >= 1")
     if a < 0:
         raise ValueError("repetition count a must be >= 0")
-    expz = series_exp_linear(zscale, order)
-
-    def z_power_term(d: int, scalar: Rat) -> ExpSeries:
-        # scalar * z^d * e^z as a series in t, z = zscale*t
-        return series_shift_tk(expz, d).scale(Poly.const(scalar) * zscale**d)
-
     if variant == "general":
-        total = ExpSeries.zero(order)
-        for v in range(a + 1):
-            outer = Rat(binomial(a, v) * c ** (a - v), c**a)
-            for d in range(v + 1):
-                s2 = stirling2(v, d)
-                if s2:
-                    total = total + z_power_term(d, outer * s2)
-        return total
-    if variant == "c_equals_1":
+        # scaled[d] = c^a a_d, an integer (c = 1 in the other variant)
+        scaled = [
+            sum(binomial(a, v) * c ** (a - v) * stirling2(v, d) for v in range(d, a + 1))
+            for d in range(a + 1)
+        ]
+    elif variant == "c_equals_1":
         if c != 1:
             raise ValueError("variant c_equals_1 requires c = 1")
-        total = ExpSeries.zero(order)
-        for v in range(a + 1):
-            s2 = stirling2(a + 1, v + 1)
-            if s2:
-                total = total + z_power_term(v, Rat(s2))
-        return total
-    raise ValueError(f"unknown variant {variant!r}")
+        scaled = [stirling2(a + 1, d + 1) for d in range(a + 1)]
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    scalars = [
+        Rat(sum(s * math.perm(v, d) for d, s in enumerate(scaled)), c**a)
+        for v in range(order + 1)
+    ]
+    return series_powers(zscale, scalars)
 
 
 def miller_paris_lhs(a: int, c: int, order: int = 12, zscale: Poly = ONE_POLY) -> ExpSeries:

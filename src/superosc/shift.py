@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
-
 from .coeffs import GridResult, fourier_sum, fourier_sum_precision, fourier_terms, sample_grid
 
 
@@ -36,7 +34,7 @@ class EntireFnSpec:
         return cls(float(part) for part in text.split(","))
 
     def __call__(self, z):
-        acc = 0.0 if not isinstance(z, mp.mpc) else mp.mpc(0)
+        acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc

@@ -5,6 +5,9 @@ import math
 
 import mpmath as mp
 
+from superosc.combinat import binomial, stirling2
+from superosc.exact import ExpSeries, Poly, Rat, series_shift_tk
+
 
 def pascal_table(n_max):
     """Binomial triangle built row by row from additions only."""
@@ -53,3 +56,25 @@ def fourier_sum_per_term(n, a, x, weight, phase):
             theta = poly(phase, k) * x
             total += math.comb(n, j) * u ** (n - j) * w**j * poly(weight, k) * mp.mpc(mp.cos(theta), mp.sin(theta))
         return complex(total)
+
+
+def miller_paris_rhs_by_series_algebra(a, c, variant, order, zscale):
+    """The Stirling closed form of hyper.miller_paris_rhs assembled in
+    series arithmetic: e^z from repeated Poly products, each term
+    s z^d e^z as a t^d shift of e^z scaled by s zscale^d, and the terms
+    summed as series.  A term with d > order vanishes at this truncation
+    and is skipped."""
+    expz = ExpSeries([zscale**v for v in range(order + 1)])
+    if variant == "general":
+        terms = [
+            (d, Rat(binomial(a, v) * c ** (a - v), c**a) * stirling2(v, d))
+            for v in range(a + 1)
+            for d in range(v + 1)
+        ]
+    else:
+        terms = [(v, Rat(stirling2(a + 1, v + 1))) for v in range(a + 1)]
+    total = ExpSeries.zero(order)
+    for d, scalar in terms:
+        if scalar and d <= order:
+            total = total + series_shift_tk(expz, d).scale(Poly.const(scalar) * zscale**d)
+    return total

@@ -187,6 +187,14 @@ class TestVerify:
         code, _ = run_cli(capsys, ["verify", "--suite", "no-such"])
         assert code == 2
 
+    @pytest.mark.parametrize("suite", ["recurrence", "all"])
+    def test_negative_order_is_usage_error(self, capsys, suite):
+        code = cli.main(["verify", "--suite", suite, "--order", "-1", "--max-n", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "truncation order must be >= 0" in captured.err
+
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         fake = IdentityReport(
             "recurrence",

@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superosc.exact import (
     ExpSeries,
@@ -9,6 +11,7 @@ from superosc.exact import (
     as_rat,
     series_exp_linear,
     series_mul,
+    series_powers,
     series_shift_tk,
 )
 
@@ -176,6 +179,57 @@ class TestExpSeries:
         b = series_exp_linear(Poly([2]), 5)
         assert a.first_difference(a) is None
         assert a.first_difference(b) == 1
+
+
+rats = st.builds(Rat, st.integers(-40, 40), st.integers(1, 12))
+polys = st.lists(rats, max_size=5).map(Poly)
+
+
+@st.composite
+def series(draw, max_order=5):
+    order = draw(st.integers(0, max_order))
+    return ExpSeries(draw(st.lists(polys, min_size=order + 1, max_size=order + 1)))
+
+
+class TestOnePath:
+    """Each job of the exact layer has one code path; these pin that the
+    shortcuts agree with the general route."""
+
+    @given(rats)
+    def test_as_rat_returns_a_rat_unchanged(self, r):
+        assert as_rat(r) is r
+
+    @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
+    def test_as_rat_coerces_other_exact_inputs(self, p, q):
+        assert as_rat(p) == Rat(Fraction(p))
+        assert as_rat(Fraction(p, q)) == Rat(Fraction(p, q))
+        assert as_rat(f"{p}/{q}") == Rat(Fraction(p, q))
+
+    @given(st.floats())
+    def test_as_rat_rejects_every_float(self, value):
+        with pytest.raises(TypeError):
+            as_rat(value)
+
+    @given(series(), rats)
+    def test_scale_by_scalar_is_scale_by_constant(self, s, r):
+        assert s.scale(r) == s.scale(Poly.const(r))
+
+    @given(polys, st.integers(0, 8))
+    def test_series_powers_of_ones_is_exponential(self, c, order):
+        assert series_powers(c, [1] * (order + 1)) == series_exp_linear(c, order)
+
+    @given(polys, st.lists(rats, min_size=1, max_size=8))
+    def test_series_powers_coefficients(self, c, scalars):
+        expected = ExpSeries([c**v * s for v, s in enumerate(scalars)])
+        assert series_powers(c, scalars) == expected
+
+    @settings(max_examples=60)
+    @given(polys, polys, polys)
+    def test_poly_ring_laws(self, p, q, r):
+        assert (p * q) * r == p * (q * r)
+        assert (p + q) + r == p + (q + r)
+        assert p * (q + r) == p * q + p * r
+        assert (p + q) * r == p * r + q * r
 
 
 def _factorial(v):

@@ -345,6 +345,12 @@ class TestVerifier:
         with pytest.raises(ValueError, match="unknown variant 'nope'"):
             verify_identity("s1-m1", params)
 
+    def test_negative_order_rejected(self):
+        for name in IDENTITY_IDS:
+            _, params = next(suite_points(name, max_n=1, max_k=1))
+            with pytest.raises(ValueError, match="truncation order must be >= 0"):
+                verify_identity(name, params, order=-1)
+
     def test_s2_stirling_at_k_zero(self):
         # the l = 0 Stirling block is e^z even at k = 0, where the
         # Miller-Paris form itself is undefined

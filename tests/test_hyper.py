@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from oracles import miller_paris_rhs_by_series_algebra
 from superosc.combinat import pochhammer
 from superosc.exact import ExpSeries, Poly, Rat, series_exp_linear
 from superosc.hyper import (
@@ -169,6 +170,15 @@ class TestMillerParis:
             rhs = miller_paris_rhs(a, 1, "c_equals_1", 12)
             assert lhs == rhs
             assert rhs == miller_paris_rhs(a, 1, "general", 12)
+
+    @pytest.mark.parametrize("variant", ["general", "c_equals_1"])
+    def test_against_series_algebra(self, variant):
+        for zscale in (Poly([1]), HALF_1_PLUS_X, Poly([Rat(2, 3), Rat(-1, 5)])):
+            for a in range(5):
+                for c in range(1, 6) if variant == "general" else (1,):
+                    for order in range(13):
+                        expected = miller_paris_rhs_by_series_algebra(a, c, variant, order, zscale)
+                        assert miller_paris_rhs(a, c, variant, order, zscale) == expected, (a, c, order)
 
     def test_a_zero_is_exponential(self):
         assert miller_paris_rhs(0, 3, "general", 6) == series_exp_linear(Poly([1]), 6)
