@@ -23,6 +23,7 @@ from .combinat import stirling2
 from .exact import DEFAULT_ORDER, Rat, as_rat
 from .genfun import (
     GenFunParams,
+    GridOrderError,
     IDENTITY_IDS,
     b_extract,
     run_suite,
@@ -121,7 +122,10 @@ def cmd_genfun(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = run_suite(args.suite, order=args.order, max_n=args.max_n, max_k=args.max_k)
+    try:
+        reports = run_suite(args.suite, order=args.order, max_n=args.max_n, max_k=args.max_k)
+    except GridOrderError as exc:
+        raise UsageError(exc.describe("--order", "--max-k")) from None
     payload = [r.to_json_dict() for r in reports]
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -51,7 +51,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [as_rat(c) for c in coeffs]
+        cs = [c if type(c) is Rat else as_rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

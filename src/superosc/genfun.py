@@ -21,9 +21,17 @@ both rather than silently repairing anything.  The corrections are:
   and for m=2 the same leading-scalar repair.
 
 The table _PRINTED_DEFECTS encodes these corrections, one row per
-(family, m), and _dual_closed builds both forms from it.  The identity
-catalogue is the table _CATALOGUE: one check and one default grid per
-identity.
+(family, m), and _dual_forms builds both forms from it.
+
+Each weight-linear identity is a linear form: scalars s_i and two lists
+of cached blocks A_i, B_i, whose sides are sum_i s_i A_i and
+sum_i s_i B_i.  The scalars are the weights w_l, the only part that
+depends on n and the alphas; the blocks depend on (k, order) alone.  A
+point where every block pair with a nonzero scalar is equal is verified
+with no series arithmetic; elsewhere the sides are built one coefficient
+at a time up to the first divergence.  The public builders are sums over
+the same block lists.  The identity catalogue is the table _CATALOGUE:
+one check and one default grid per identity.
 """
 
 from __future__ import annotations
@@ -34,7 +42,15 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import classical
-from .coeffs import HALF_1_PLUS_X, half_power, c_coeff, c_derivative, c_recurrence_rhs, g_series
+from .coeffs import (
+    HALF_1_MINUS_X,
+    HALF_1_PLUS_X,
+    c_coeff,
+    c_derivative,
+    c_recurrence_rhs,
+    g_series,
+    half_power,
+)
 from .combinat import binomial, factorial, stirling2
 from .exact import (
     DEFAULT_ORDER,
@@ -60,6 +76,7 @@ __all__ = [
     "IdentityReport",
     "REPORT_SCHEMA",
     "IDENTITY_IDS",
+    "GridOrderError",
     "b2_explicit",
     "b2_k1_explicit",
     "b_extract",
@@ -98,15 +115,15 @@ class GenFunParams:
         object.__setattr__(self, "alphas", alphas)
 
     def weights(self) -> list:
-        """w_l = sum_{j>=l} alpha_j C(j,l) (-2k/n)^(j-l) for l = 0..m."""
+        """w_l = sum_{j>=l} alpha_j C(j,l) (-2k/n)^(j-l) for l = 0..m: the
+        coefficients of sum_j alpha_j (y - 2k/n)^j, by the Taylor shift's
+        repeated synthetic division."""
         base = Rat(-2 * self.k, self.n)
-        out = []
-        for l in range(self.m + 1):
-            acc = Rat(0)
-            for j in range(l, self.m + 1):
-                acc += self.alphas[j] * binomial(j, l) * base ** (j - l)
-            out.append(acc)
-        return out
+        w = list(self.alphas)
+        for i in range(self.m):
+            for l in range(self.m - 1, i - 1, -1):
+                w[l] = w[l] + base * w[l + 1]
+        return w
 
     def json_dict(self) -> dict:
         return {
@@ -124,13 +141,17 @@ def _prefixed_block(tail: str, l: int, k: int, order: int, power: int) -> ExpSer
 
     * "family-1" / "family-2": the definitional pFq block, l copies of k
       over k+1 / of k+1 over k;
-    * "moment": sum_v z^v/(v+k)^l, the family-1 closed-form tail;
+    * "k-moment": k^l sum_v z^v/(v+k)^l, the family-1 closed-form tail;
+    * "moment": sum_v z^v/(v+k)^l, that tail as printed, without k^l;
     * "stirling": the Stirling expansion of the family-2 block,
       miller_paris_rhs; e^z at l = 0, where miller_paris_rhs would reject
       k = 0.
     """
-    if tail == "moment":
+    factor = half_power(False, power) / Rat(factorial(k))
+    if tail in ("moment", "k-moment"):
         series = exp_moment_series(k, order, HALF_1_PLUS_X, l)
+        if tail == "k-moment":
+            factor = factor * k**l
     elif tail == "stirling":
         if l:
             series = miller_paris_rhs(l, k, "general", order, HALF_1_PLUS_X)
@@ -139,38 +160,145 @@ def _prefixed_block(tail: str, l: int, k: int, order: int, power: int) -> ExpSer
     else:
         upper, lower = (k, k + 1) if tail == "family-1" else (k + 1, k)
         series = pfq_series(HyperSpec((upper,) * l, (lower,) * l), HALF_1_PLUS_X, order)
-    return series_shift_tk(series, power).scale(half_power(False, power) / Rat(factorial(k)))
+    return series_shift_tk(series, power).scale(factor)
 
 
-def _weighted_sum(p: GenFunParams, tail: str, order: int) -> ExpSeries:
-    """sum_l w_l P_k(T_l) over the weights w_l of p."""
+@lru_cache(maxsize=None)
+def _b2_block(k: int, v: int, l: int) -> Poly:
+    """R_{k,v,l} = sum_{c<=l} C(l,c) sum_{d<=c} C(v,d) d! S2(c,d) k^{-c}
+    ((1+x)/2)^d c_k(v-d, x)."""
+    acc = Poly()
+    for c in range(l + 1):
+        for d in range(c + 1):
+            s2 = stirling2(c, d)
+            cv = binomial(v, d)
+            if not s2 or not cv:
+                continue
+            scalar = Rat(binomial(l, c) * cv * factorial(d) * s2, k**c if c else 1)
+            acc = acc + half_power(True, d) * c_coeff(k, v - d) * scalar
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _b2_k1_block(v: int, l: int) -> Poly:
+    """(1-x)(1+x)^(v-1)/2^v sum_c C(v,c+1)(c+1)! S2(l+1,c+1), the k = 1
+    block of tail l; zero at v = 0."""
+    if v == 0:
+        return Poly()
+    inner = sum(
+        binomial(v, c + 1) * factorial(c + 1) * stirling2(l + 1, c + 1) for c in range(l + 1)
+    )
+    return HALF_1_MINUS_X * half_power(True, v - 1) * inner
+
+
+@lru_cache(maxsize=None)
+def _explicit_series(formula: str, k: int, l: int, order: int) -> ExpSeries:
+    """The series whose t^v/v! coefficients are the explicit blocks of
+    tail l: _b2_block(k, v, l) for "b2", _b2_k1_block(v, l) for "b2-k1"."""
+    if formula == "b2":
+        return ExpSeries([_b2_block(k, v, l) for v in range(order + 1)])
+    return ExpSeries([_b2_k1_block(v, l) for v in range(order + 1)])
+
+
+# ---------------------------------------------------------------------------
+# linear forms
+#
+# A block reference (builder, *args) names the cached block builder(*args);
+# None is the zero block.  A linear form pairs two reference lists under one
+# list of scalars: its sides are sum_i s_i A_i and sum_i s_i B_i.
+
+
+class _Form(NamedTuple):
+    scalars: list
+    lhs: list
+    rhs: list
+
+
+def _block(ref) -> ExpSeries:
+    return ref[0](*ref[1:])
+
+
+def _combine(terms) -> Poly:
+    """sum s * c over (s, c) pairs of a scalar and a Poly, skipping s = 0."""
+    acc = Poly()
+    for s, c in terms:
+        if s:
+            acc = acc + c * s
+    return acc
+
+
+def _sum(scalars, refs, order: int) -> ExpSeries:
+    """sum_i s_i A_i as one series, building only blocks with s_i != 0."""
+    total = ExpSeries.zero(order)
+    for s, ref in zip(scalars, refs, strict=True):
+        if s:
+            total = total + _block(ref).scale(s)
+    return total
+
+
+#: (reference, reference) -> whether the two blocks are equal, memoised by
+#: the references; hashing the series themselves costs more than it saves
+_BLOCKS_EQUAL = {}
+
+
+def _blocks_equal(a, b) -> bool:
+    if a == b:
+        return True
+    if a is None or b is None:
+        return False
+    equal = _BLOCKS_EQUAL.get((a, b))
+    if equal is None:
+        equal = _BLOCKS_EQUAL[a, b] = _block(a) == _block(b)
+    return equal
+
+
+def _form_pairs(form: _Form, order: int):
+    """Coefficient pairs (sum s_i A_i[v], sum s_i B_i[v]) for v = 0..order,
+    built one v at a time; none at all when every block pair with a nonzero
+    scalar is equal, so that the sides agree with no series arithmetic."""
+    live = [(s, a, b) for s, a, b in zip(*form, strict=True) if s]
+    if all(_blocks_equal(a, b) for _, a, b in live):
+        return ()
+    lhs = [(s, _block(a)) for s, a, _ in live if a is not None]
+    rhs = [(s, _block(b)) for s, _, b in live if b is not None]
+    return (
+        (
+            _combine((s, block.coeffs[v]) for s, block in lhs),
+            _combine((s, block.coeffs[v]) for s, block in rhs),
+        )
+        for v in range(order + 1)
+    )
+
+
+def _tail_blocks(tail: str, p: GenFunParams, order: int) -> list:
+    """References to P_k(T_l), l = 0..m, the blocks of a weighted sum."""
     if p.k > order:
         raise ValueError(f"k={p.k} exceeds truncation order {order}")
     if tail != "family-1" and p.k == 0 and p.m >= 1:
         raise ValueError("family-2 blocks have lower parameter k; k=0 is excluded")
-    total = ExpSeries.zero(order)
-    for l, w in enumerate(p.weights()):
-        if w == 0:
-            continue
-        total = total + _prefixed_block(tail, l, p.k, order, p.k).scale(w)
-    return total
+    return [(_prefixed_block, tail, l, p.k, order, p.k) for l in range(p.m + 1)]
 
 
 def s1_series(p: GenFunParams, order: int = DEFAULT_ORDER) -> ExpSeries:
     """Definitional series of family 1 (upper k, lower k+1)."""
-    return _weighted_sum(p, "family-1", order)
+    return _sum(p.weights(), _tail_blocks("family-1", p, order), order)
 
 
 def s2_series(p: GenFunParams, order: int = DEFAULT_ORDER) -> ExpSeries:
     """Definitional series of family 2 (upper k+1, lower k); k >= 1 when
     m >= 1."""
-    return _weighted_sum(p, "family-2", order)
+    return _sum(p.weights(), _tail_blocks("family-2", p, order), order)
 
 
 def s2_stirling_closed(p: GenFunParams, order: int = DEFAULT_ORDER) -> ExpSeries:
     """Family-2 series rebuilt from Stirling partition numbers instead of
     Pochhammer ratios; must agree with s2_series exactly."""
-    return _weighted_sum(p, "stirling", order)
+    return _sum(p.weights(), _tail_blocks("stirling", p, order), order)
+
+
+def _stirling_form(p: GenFunParams, order: int) -> _Form:
+    """The Stirling blocks against the family-2 blocks."""
+    return _Form(p.weights(), _tail_blocks("stirling", p, order), _tail_blocks("family-2", p, order))
 
 
 def b_extract(series: ExpSeries, v: int) -> Poly:
@@ -181,7 +309,7 @@ def b_extract(series: ExpSeries, v: int) -> Poly:
 class _Defects(NamedTuple):
     """How a printed closed form departs from the corrected one."""
 
-    drops_k_power: bool  # tail l weighted by w_l, not by w_l k^l
+    drops_k_power: bool  # tail l is the bare moment tail, without k^l
     tail_power_one: bool  # tail prefactor ((1-x)t/2)^1, not ((1-x)t/2)^k
     lead_a2_over_n: bool  # lead a2 term 4k^2/n, not 4k^2/n^2
 
@@ -202,31 +330,38 @@ def _require(p: GenFunParams, m: int):
         raise ValueError("closed form needs k >= 1 (moment integral diverges at k=0)")
 
 
-def _dual_closed(p: GenFunParams, family: int, m: int, order: int):
-    """Printed and corrected closed forms of one family at m = 1 or 2.
+def _dual_forms(p: GenFunParams, family: int, m: int, order: int):
+    """Printed and corrected closed forms of one family at m = 1 or 2, as
+    linear forms against the definitional blocks.
 
-    The corrected form is sum_l w_l c_l P_k(T_l) with P_k(T_0) = g_k.  For
-    l >= 1 the tail T_l is the moment tail with c_l = k^l in family 1 and
-    the family-2 block with c_l = 1 in family 2.  The printed form carries
-    the defects _PRINTED_DEFECTS lists for (family, m).
+    The corrected form is sum_l w_l C_l with C_0 = g_k.  For l >= 1, C_l is
+    the k-moment tail in family 1 and the family-2 block in family 2, at
+    power k.  The printed form carries the defects _PRINTED_DEFECTS lists
+    for (family, m); a wrong lead scalar is one more scalar on g_k, paired
+    with the zero block.
     """
     _require(p, m)
+    reference = _tail_blocks("family-1" if family == 1 else "family-2", p, order)
     defects = _PRINTED_DEFECTS[family, m]
     k, w = p.k, p.weights()
-    g = g_series(k, order)
-    printed_lead = w[0]
+    lead = [(g_series, k, order)]
+    tail = "k-moment" if family == 1 else "family-2"
+    corrected = lead + [(_prefixed_block, tail, l, k, order, k) for l in range(1, m + 1)]
+    if defects.drops_k_power and family == 1:
+        tail = "moment"
+    power = 1 if defects.tail_power_one else k
+    printed = lead + [(_prefixed_block, tail, l, k, order, power) for l in range(1, m + 1)]
     if defects.lead_a2_over_n:
-        printed_lead += p.alphas[2] * (Rat(4 * k * k, p.n) - Rat(4 * k * k, p.n * p.n))
-    printed, corrected = g.scale(printed_lead), g.scale(w[0])
-    tail = "moment" if family == 1 else "family-2"
-    printed_power = 1 if defects.tail_power_one else k
-    for l in range(1, m + 1):
-        c = k**l if family == 1 else 1
-        corrected = corrected + _prefixed_block(tail, l, k, order, k).scale(w[l] * c)
-        if defects.drops_k_power:
-            c = 1
-        printed = printed + _prefixed_block(tail, l, k, order, printed_power).scale(w[l] * c)
-    return printed, corrected
+        extra = p.alphas[2] * (Rat(4 * k * k, p.n) - Rat(4 * k * k, p.n * p.n))
+        printed_form = _Form(w + [extra], printed + lead, reference + [None])
+    else:
+        printed_form = _Form(w, printed, reference)
+    return printed_form, _Form(w, corrected, reference)
+
+
+def _dual_closed(p: GenFunParams, family: int, m: int, order: int):
+    """(printed, corrected) closed-form series of one family at m."""
+    return tuple(_sum(form.scalars, form.lhs, order) for form in _dual_forms(p, family, m, order))
 
 
 def s1_m1_closed(p: GenFunParams, order: int = DEFAULT_ORDER):
@@ -251,35 +386,29 @@ def s2_m2_closed(p: GenFunParams, order: int = DEFAULT_ORDER):
     return _dual_closed(p, 2, 2, order)
 
 
-@lru_cache(maxsize=None)
-def _b2_block(k: int, v: int, l: int) -> Poly:
-    """R_{k,v,l} = sum_{c<=l} C(l,c) sum_{d<=c} C(v,d) d! S2(c,d) k^{-c}
-    ((1+x)/2)^d c_k(v-d, x)."""
-    acc = Poly()
-    for c in range(l + 1):
-        for d in range(c + 1):
-            s2 = stirling2(c, d)
-            cv = binomial(v, d)
-            if not s2 or not cv:
-                continue
-            scalar = Rat(binomial(l, c) * cv * factorial(d) * s2, k**c if c else 1)
-            acc = acc + half_power(True, d) * c_coeff(k, v - d) * scalar
-    return acc
+def _check_explicit(formula: str, p: GenFunParams):
+    if formula == "b2-k1":
+        if p.k != 1:
+            raise ValueError("this formula is the k = 1 specialization")
+    elif p.k < 1:
+        raise ValueError("explicit coefficient formula needs k >= 1")
+
+
+def _explicit_form(formula: str, p: GenFunParams, order: int) -> _Form:
+    """The explicit coefficients of formula ("b2" or "b2-k1"), one series
+    per tail, against the family-2 blocks."""
+    _check_explicit(formula, p)
+    explicit = [(_explicit_series, formula, p.k, l, order) for l in range(p.m + 1)]
+    return _Form(p.weights(), explicit, _tail_blocks("family-2", p, order))
 
 
 def b2_explicit(v: int, p: GenFunParams) -> Poly:
     """Coefficient of t^v/v! in the family-2 series, written directly in
     terms of Stirling numbers and c_k; k >= 1."""
-    if p.k < 1:
-        raise ValueError("explicit coefficient formula needs k >= 1")
+    _check_explicit("b2", p)
     if v < 0:
         raise ValueError("v must be >= 0")
-    acc = Poly()
-    for l, w in enumerate(p.weights()):
-        if w == 0:
-            continue
-        acc = acc + _b2_block(p.k, v, l) * w
-    return acc
+    return _combine((w, _b2_block(p.k, v, l)) for l, w in enumerate(p.weights()))
 
 
 def b2_k1_explicit(v: int, p: GenFunParams) -> Poly:
@@ -288,35 +417,27 @@ def b2_k1_explicit(v: int, p: GenFunParams) -> Poly:
         (1-x) sum_j alpha_j sum_l C(j,l)(-2/n)^(j-l)
               sum_c C(v,c+1)(c+1)! S2(l+1,c+1) (1+x)^(v-1) / 2^v.
     """
-    if p.k != 1:
-        raise ValueError("this formula is the k = 1 specialization")
+    _check_explicit("b2-k1", p)
     if v < 0:
         raise ValueError("v must be >= 0")
-    if v == 0:
-        return Poly()
-    one_minus_x = Poly((Rat(1), Rat(-1)))
-    one_plus_x = Poly((Rat(1), Rat(1)))
-    scalar = Rat(0)
-    for l, w in enumerate(p.weights()):
-        inner = 0
-        for c in range(l + 1):
-            inner += binomial(v, c + 1) * factorial(c + 1) * stirling2(l + 1, c + 1)
-        scalar += w * inner
-    return one_minus_x * one_plus_x ** (v - 1) * (scalar / Rat(2**v))
+    return _combine((w, _b2_k1_block(v, l)) for l, w in enumerate(p.weights()))
 
 
 # ---------------------------------------------------------------------------
 # identity verifier
 
 
-def _report(identity_id, params, order, lhs, rhs, status=MISMATCH) -> IdentityReport:
-    """Compare two ExpSeries coefficient by coefficient, or two other
-    values as one pair: verified when all agree, otherwise status with the
-    first unequal pair as the divergence at its index v."""
+def _series_pairs(lhs, rhs):
+    """Coefficient pairs of two ExpSeries, or two other values as one
+    pair."""
     if isinstance(lhs, ExpSeries):
-        pairs = zip(lhs.coeffs, rhs.coeffs, strict=True)
-    else:
-        pairs = [(lhs, rhs)]
+        return zip(lhs.coeffs, rhs.coeffs, strict=True)
+    return [(lhs, rhs)]
+
+
+def _report(identity_id, params, order, pairs, status=MISMATCH) -> IdentityReport:
+    """Verified when every (lhs, rhs) pair agrees, otherwise status with
+    the first unequal pair as the divergence at its index v."""
     for v, (a, b) in enumerate(pairs):
         if a != b:
             divergence = Divergence(v=v, lhs=str(a), rhs=str(b))
@@ -336,37 +457,37 @@ def _point_check(keys, sides):
 
     def check(identity_id, params, order):
         point = {key: params[key] for key in keys}
-        return _report(identity_id, point, order, *sides(**point, order=order))
+        return _report(identity_id, point, order, _series_pairs(*sides(**point, order=order)))
 
     return check
 
 
-def _genfun_check(sides):
-    """Check at a GenFunParams point p whose two sides are sides(p, order)."""
+def _form_check(form):
+    """Check at a GenFunParams point p of the linear form form(p, order)."""
 
     def check(identity_id, params, order):
         p = _params_from(params)
-        return _report(identity_id, p.json_dict(), order, *sides(p, order))
+        return _report(identity_id, p.json_dict(), order, _form_pairs(form(p, order), order))
 
     return check
 
 
-def _dual_check(build):
-    """Check of a printed/corrected closed-form pair, build(p, order) giving
-    (printed, corrected, reference).  The "corrected" variant reports the
-    corrected form.  The "printed" variant (default) reports a printed form
-    that diverges while the corrected form holds as a printed mismatch."""
+def _dual_check(family, m):
+    """Check of the printed/corrected closed-form pair of (family, m).  The
+    "corrected" variant reports the corrected form.  The "printed" variant
+    (default) reports a printed form that diverges while the corrected form
+    holds as a printed mismatch."""
 
     def check(identity_id, params, order):
         variant = params.get("variant", "printed")
         if variant not in ("printed", "corrected"):
             raise ValueError(f"unknown variant {variant!r}")
         p = _params_from(params)
-        printed, corrected, reference = build(p, order)
+        printed, corrected = _dual_forms(p, family, m, order)
         out = {**p.json_dict(), "variant": variant}
-        report = _report(identity_id, out, order, corrected, reference)
+        report = _report(identity_id, out, order, _form_pairs(corrected, order))
         if variant == "printed" and report.status == VERIFIED:
-            report = _report(identity_id, out, order, printed, reference, PRINTED_MISMATCH)
+            report = _report(identity_id, out, order, _form_pairs(printed, order), PRINTED_MISMATCH)
         return report
 
     return check
@@ -400,6 +521,7 @@ class _Grid(NamedTuple):
 class _Identity(NamedTuple):
     check: Callable  # (identity_id, params, order) -> IdentityReport
     grid: Callable  # _Grid -> the default parameter points, in order
+    k_within_order: bool = False  # the check rejects points with k > order
 
 
 def _genfun_grid(ms, ks=None):
@@ -416,9 +538,11 @@ def _genfun_grid(ms, ks=None):
     return points
 
 
-#: Every identity in report order.  The checks look the builders up by
-#: name when they run, so rebinding a module-level builder (to patch or
-#: to profile it) reaches every check that uses it.
+#: Every identity in report order.  The checks look their builders and
+#: blocks up by name when they run, so rebinding a module-level one (to
+#: patch or to profile it) reaches every check that uses it.  The seven
+#: weight-linear identities, s1-m1 to b2-k1, are checked as linear forms
+#: over the blocks and never call the public series builders.
 _CATALOGUE = {
     "recurrence": _Identity(
         _point_check(("k", "n"), lambda k, n, order: (c_recurrence_rhs(k, n), c_coeff(k, n + 1))),
@@ -433,37 +557,25 @@ _CATALOGUE = {
         _point_check(("k",), lambda k, order: (
             g_series(k, order), ExpSeries([c_coeff(k, v) for v in range(order + 1)]))),
         lambda grid: ({"k": k} for k in range(grid.max_k + 1)),
+        k_within_order=True,
     ),
-    "s1-m1": _Identity(
-        _dual_check(lambda p, order: (*s1_m1_closed(p, order), s1_series(p, order))),
-        _genfun_grid((1,)),
-    ),
-    "s1-m2": _Identity(
-        _dual_check(lambda p, order: (*s1_m2_closed(p, order), s1_series(p, order))),
-        _genfun_grid((2,)),
-    ),
-    "s2-m1": _Identity(
-        _dual_check(lambda p, order: (*s2_m1_closed(p, order), s2_series(p, order))),
-        _genfun_grid((1,)),
-    ),
-    "s2-m2": _Identity(
-        _dual_check(lambda p, order: (*s2_m2_closed(p, order), s2_series(p, order))),
-        _genfun_grid((2,)),
-    ),
+    "s1-m1": _Identity(_dual_check(1, 1), _genfun_grid((1,)), k_within_order=True),
+    "s1-m2": _Identity(_dual_check(1, 2), _genfun_grid((2,)), k_within_order=True),
+    "s2-m1": _Identity(_dual_check(2, 1), _genfun_grid((1,)), k_within_order=True),
+    "s2-m2": _Identity(_dual_check(2, 2), _genfun_grid((2,)), k_within_order=True),
     "s2-stirling": _Identity(
-        _genfun_check(lambda p, order: (s2_stirling_closed(p, order), s2_series(p, order))),
-        _genfun_grid(range(_MAX_M + 1)),
+        _form_check(_stirling_form), _genfun_grid(range(_MAX_M + 1)), k_within_order=True
     ),
-    # the explicit coefficients b_v, as one series against s2_series
+    # the explicit coefficients b_v, one series per tail, against s2_series
     "ay-2": _Identity(
-        _genfun_check(lambda p, order: (
-            ExpSeries([b2_explicit(v, p) for v in range(order + 1)]), s2_series(p, order))),
+        _form_check(lambda p, order: _explicit_form("b2", p, order)),
         _genfun_grid(range(_MAX_M + 1)),
+        k_within_order=True,
     ),
     "b2-k1": _Identity(
-        _genfun_check(lambda p, order: (
-            ExpSeries([b2_k1_explicit(v, p) for v in range(order + 1)]), s2_series(p, order))),
+        _form_check(lambda p, order: _explicit_form("b2-k1", p, order)),
         _genfun_grid(range(_MAX_M + 1), ks=(1,)),
+        k_within_order=True,
     ),
     "bernstein-map": _Identity(
         _point_check(("k", "v"), lambda k, v, order: (
@@ -497,6 +609,33 @@ _CATALOGUE = {
 IDENTITY_IDS = tuple(_CATALOGUE)
 
 
+class GridOrderError(ValueError):
+    """A suite's grid draws a k above the truncation order it is run at."""
+
+    def __init__(self, suite: str, k: int, order: int, max_k: int):
+        self.suite, self.k, self.order, self.max_k = suite, k, order, max_k
+        super().__init__(self.describe("order", "max_k"))
+
+    def describe(self, order_name: str, max_k_name: str) -> str:
+        """The message, naming the order and max_k settings as given."""
+        return (
+            f"{order_name}={self.order} is below k={self.k}, which the {self.suite} "
+            f"grid draws with {max_k_name}={self.max_k}"
+        )
+
+
+def _check_order(order: int):
+    if order < 0:
+        raise ValueError(f"truncation order must be >= 0, got {order}")
+
+
+def _identity(name: str) -> _Identity:
+    try:
+        return _CATALOGUE[name]
+    except KeyError:
+        raise ValueError(f"unknown suite {name!r}") from None
+
+
 def verify_identity(identity_id: str, params: dict, order: int = DEFAULT_ORDER) -> IdentityReport:
     """Compare both sides of one catalogued identity at one parameter
     point, coefficientwise and exactly; never raises on mismatch."""
@@ -506,17 +645,14 @@ def verify_identity(identity_id: str, params: dict, order: int = DEFAULT_ORDER) 
         raise ValueError(
             f"unknown identity {identity_id!r}; known: {', '.join(IDENTITY_IDS)}"
         ) from None
-    if order < 0:
-        raise ValueError(f"truncation order must be >= 0, got {order}")
+    _check_order(order)
     return check(identity_id, params, order)
 
 
 def suite_points(name: str, max_n: int = 10, max_k: int = 6, alpha_set=DEFAULT_ALPHA_SET):
     """Default parameter grid for one identity, as (identity_id, params)
     pairs."""
-    if name not in _CATALOGUE:
-        raise ValueError(f"unknown suite {name!r}")
-    for params in _CATALOGUE[name].grid(_Grid(max_n, max_k, alpha_set)):
+    for params in _identity(name).grid(_Grid(max_n, max_k, alpha_set)):
         yield name, params
 
 
@@ -528,10 +664,19 @@ def run_suite(
     alpha_set=DEFAULT_ALPHA_SET,
 ):
     """Run one suite (or "all") over its default grid; returns the report
-    list in deterministic order."""
+    list in deterministic order.  Raises GridOrderError before the first
+    check when a selected grid draws a k above order."""
     names = IDENTITY_IDS if name == "all" else (name,)
-    reports = []
+    _check_order(order)
+    grid = _Grid(max_n, max_k, alpha_set)
     for suite in names:
-        for identity_id, params in suite_points(suite, max_n, max_k, alpha_set):
-            reports.append(verify_identity(identity_id, params, order))
-    return reports
+        identity = _identity(suite)
+        if identity.k_within_order:
+            k = next((params["k"] for params in identity.grid(grid) if params["k"] > order), None)
+            if k is not None:
+                raise GridOrderError(suite, k, order, max_k)
+    return [
+        verify_identity(suite, params, order)
+        for suite in names
+        for params in _identity(suite).grid(grid)
+    ]

@@ -6,6 +6,7 @@ Stirling-number closed forms for parameter lists like (c+1,...,c+1; c,...,c).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,20 +76,38 @@ def pfq_series(spec: HyperSpec, zscale: Poly, order: int) -> ExpSeries:
 def pfq_eval_float(spec: HyperSpec, z: float, tol: float) -> float:
     """Partial sum of the series at a real argument, entire case (p <= q)
     only.  Stops once _STABLE_TERMS consecutive terms are below
-    tol*(1+|sum|)."""
+    tol*(1+|sum|).
+
+    1F1(a; b; z) at z < 0 is summed as e^z 1F1(b-a; b; -z) (Kummer's
+    transformation), whose terms do not cancel.  Any other sum whose
+    largest term reaches tol/eps times |sum| loses more than tol to
+    cancellation in floats, and raises ArithmeticError instead of
+    returning it; so does a sum that overflows."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if spec.p > spec.q:
         raise ValueError("float evaluation supports only p <= q (entire case)")
+    if spec.p == spec.q == 1 and z < 0:
+        (a,), (b,) = spec.upper, spec.lower
+        return math.exp(z) * pfq_eval_float(HyperSpec((b - a,), (b,)), -z, tol)
     total = 0.0
     term = 1.0
+    largest = 0.0
     small = 0
     m = 0
     while m < _MAX_TERMS:
         total += term
+        largest = max(largest, abs(term))
+        if not math.isfinite(total):
+            raise ArithmeticError("hypergeometric partial sum overflows a float")
         if abs(term) < tol * (1.0 + abs(total)):
             small += 1
             if small >= _STABLE_TERMS:
+                if sys.float_info.epsilon * largest > tol * abs(total):
+                    raise ArithmeticError(
+                        f"cancellation: largest term {largest:.3g} against sum {total:.3g} "
+                        f"leaves less than tolerance {tol:g} of float precision"
+                    )
                 return total
         else:
             small = 0

@@ -1,12 +1,17 @@
 """Independent brute-force oracles shared by the unit and acceptance
-suites.  These deliberately avoid the library's own recurrences."""
+suites.  These deliberately avoid the library's own recurrences, except
+the whole-series identity checks at the end, which reuse the library's
+blocks and test only how they are combined."""
 
 import math
 
 import mpmath as mp
 
+from superosc import genfun
 from superosc.combinat import binomial, stirling2
 from superosc.exact import ExpSeries, Poly, Rat, series_shift_tk
+from superosc.genfun import GenFunParams
+from superosc.report import MISMATCH, PRINTED_MISMATCH, VERIFIED, Divergence, IdentityReport
 
 
 def pascal_table(n_max):
@@ -78,3 +83,118 @@ def miller_paris_rhs_by_series_algebra(a, c, variant, order, zscale):
         if scalar and d <= order:
             total = total + series_shift_tk(expz, d).scale(Poly.const(scalar) * zscale**d)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the weight-linear identities checked point by point on whole series
+
+
+def weights_by_sum(p):
+    """w_l = sum_{j>=l} alpha_j C(j,l) (-2k/n)^(j-l), term by term."""
+    base = Rat(-2 * p.k, p.n)
+    return [
+        sum((p.alphas[j] * binomial(j, l) * base ** (j - l) for j in range(l, p.m + 1)), Rat(0))
+        for l in range(p.m + 1)
+    ]
+
+
+def _weighted_sum(p, tail, order):
+    """sum_l w_l P_k(T_l) as one series, skipping zero weights."""
+    if p.k > order:
+        raise ValueError(f"k={p.k} exceeds truncation order {order}")
+    if tail != "family-1" and p.k == 0 and p.m >= 1:
+        raise ValueError("family-2 blocks have lower parameter k; k=0 is excluded")
+    total = ExpSeries.zero(order)
+    for l, w in enumerate(p.weights()):
+        if w == 0:
+            continue
+        total = total + genfun._prefixed_block(tail, l, p.k, order, p.k).scale(w)
+    return total
+
+
+def _dual_closed(p, family, m, order):
+    """(printed, corrected) closed forms summed with the scalars w_l c_l,
+    c_l = k^l on the bare moment tail in family 1."""
+    genfun._require(p, m)
+    defects = genfun._PRINTED_DEFECTS[family, m]
+    k, w = p.k, p.weights()
+    g = genfun.g_series(k, order)
+    printed_lead = w[0]
+    if defects.lead_a2_over_n:
+        printed_lead += p.alphas[2] * (Rat(4 * k * k, p.n) - Rat(4 * k * k, p.n * p.n))
+    printed, corrected = g.scale(printed_lead), g.scale(w[0])
+    tail = "moment" if family == 1 else "family-2"
+    printed_power = 1 if defects.tail_power_one else k
+    for l in range(1, m + 1):
+        c = k**l if family == 1 else 1
+        corrected = corrected + genfun._prefixed_block(tail, l, k, order, k).scale(w[l] * c)
+        if defects.drops_k_power:
+            c = 1
+        printed = printed + genfun._prefixed_block(tail, l, k, order, printed_power).scale(w[l] * c)
+    return printed, corrected
+
+
+def _b2_explicit(v, p):
+    if p.k < 1:
+        raise ValueError("explicit coefficient formula needs k >= 1")
+    acc = Poly()
+    for l, w in enumerate(p.weights()):
+        if w:
+            acc = acc + genfun._b2_block(p.k, v, l) * w
+    return acc
+
+
+def _b2_k1_explicit(v, p):
+    if p.k != 1:
+        raise ValueError("this formula is the k = 1 specialization")
+    if v == 0:
+        return Poly()
+    scalar = Rat(0)
+    for l, w in enumerate(p.weights()):
+        inner = 0
+        for c in range(l + 1):
+            inner += binomial(v, c + 1) * math.factorial(c + 1) * stirling2(l + 1, c + 1)
+        scalar += w * inner
+    return Poly((Rat(1), Rat(-1))) * Poly((Rat(1), Rat(1))) ** (v - 1) * (scalar / Rat(2**v))
+
+
+def _series_report(identity_id, params, order, lhs, rhs, status=MISMATCH):
+    for v, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs, strict=True)):
+        if a != b:
+            return IdentityReport(identity_id, params, order, status, Divergence(v, str(a), str(b)))
+    return IdentityReport(identity_id, params, order, VERIFIED)
+
+
+_DUALS = {"s1-m1": (1, 1), "s1-m2": (1, 2), "s2-m1": (2, 1), "s2-m2": (2, 2)}
+
+
+def weight_linear_report_by_series(identity_id, params, order):
+    """The report of one weight-linear identity (s1-m1, s1-m2, s2-m1,
+    s2-m2, s2-stirling, ay-2, b2-k1) with both sides built as whole series
+    and compared coefficient by coefficient.  Blocks, the printed-defect
+    table and g_series are read from genfun when called, so a patched
+    block reaches this path too."""
+    if order < 0:
+        raise ValueError(f"truncation order must be >= 0, got {order}")
+    variant = None
+    if identity_id in _DUALS:
+        variant = params.get("variant", "printed")
+        if variant not in ("printed", "corrected"):
+            raise ValueError(f"unknown variant {variant!r}")
+    p = GenFunParams(params["m"], params["k"], params["n"], params["alphas"])
+    out = p.json_dict()
+    if identity_id == "s2-stirling":
+        lhs = _weighted_sum(p, "stirling", order)
+        return _series_report(identity_id, out, order, lhs, _weighted_sum(p, "family-2", order))
+    if identity_id in ("ay-2", "b2-k1"):
+        explicit = _b2_explicit if identity_id == "ay-2" else _b2_k1_explicit
+        lhs = ExpSeries([explicit(v, p) for v in range(order + 1)])
+        return _series_report(identity_id, out, order, lhs, _weighted_sum(p, "family-2", order))
+    family, m = _DUALS[identity_id]
+    printed, corrected = _dual_closed(p, family, m, order)
+    reference = _weighted_sum(p, f"family-{family}", order)
+    out["variant"] = variant
+    report = _series_report(identity_id, out, order, corrected, reference)
+    if variant == "printed" and report.status == VERIFIED:
+        report = _series_report(identity_id, out, order, printed, reference, PRINTED_MISMATCH)
+    return report

@@ -60,6 +60,13 @@ VERIFY_GOLDEN_SHA256 = {
     "csv": "dbb86f21f1057d045af0c938b83298cd7c82b2b53610b5ab844bbfe3fc7726b5",
 }
 
+#: SHA-256 of the stdout of verify --suite all on the default grid (20221
+#: checks), by format
+VERIFY_ALL_SHA256 = {
+    "json": "099066cd27af041d8191a36dd976b4fd21af81bc0caeecf56da7f964b29daba8",
+    "csv": "83d9258182895d60f7252b5bdfeae74000ae54118f31d9676b4cc06a69eba95a",
+}
+
 
 def run_cli(capsys, argv):
     code = cli.main(argv)
@@ -219,6 +226,25 @@ class TestVerify:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GOLDEN_SHA256[fmt]
+
+    @pytest.mark.parametrize("fmt", sorted(VERIFY_ALL_SHA256))
+    def test_default_grid_golden_bytes(self, capsys, fmt):
+        code, out = run_cli(capsys, ["verify", "--suite", "all", "--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[fmt]
+
+    def test_order_below_grid_k_is_usage_error(self, capsys):
+        code = cli.main(["verify", "--suite", "all", "--order", "4", "--max-n", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--order=4 is below k=5" in captured.err
+        assert "--max-k=6" in captured.err
+
+    def test_order_below_k_where_order_is_unused(self, capsys):
+        code, out = run_cli(capsys, ["verify", "--suite", "recurrence", "--order", "4"])
+        assert code == 0
+        assert len(json.loads(out)) == 77
 
     def test_csv_format(self, capsys):
         code, out = run_cli(

@@ -210,6 +210,17 @@ class TestOnePath:
         with pytest.raises(TypeError):
             as_rat(value)
 
+    @given(st.lists(rats, max_size=6))
+    def test_poly_keeps_rat_coefficients(self, cs):
+        kept = Poly(cs).coeffs
+        assert all(type(c) is Rat for c in kept)
+        assert kept == tuple(cs[: len(kept)])
+
+    def test_poly_coerces_other_coefficients(self):
+        assert Poly(["1/2", 3, Fraction(-2, 6)]).coeffs == (Rat(1, 2), Rat(3), Rat(-1, 3))
+        with pytest.raises(TypeError):
+            Poly([Rat(1), 0.5])
+
     @given(series(), rats)
     def test_scale_by_scalar_is_scale_by_constant(self, s, r):
         assert s.scale(r) == s.scale(Poly.const(r))

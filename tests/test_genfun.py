@@ -1,16 +1,22 @@
+import itertools
 import json
 
 import jsonschema
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import weight_linear_report_by_series, weights_by_sum
 
 from superosc.coeffs import HALF_1_MINUS_X, HALF_1_PLUS_X, c_coeff, g_series
 from superosc.combinat import stirling2
-from superosc.exact import ExpSeries, Rat, series_exp_linear, series_shift_tk
+from superosc.exact import ExpSeries, Poly, Rat, series_exp_linear, series_shift_tk
 from superosc import genfun
 from superosc.genfun import (
     DEFAULT_ALPHA_SET,
     GenFunParams,
+    GridOrderError,
     IDENTITY_IDS,
     b2_explicit,
     b2_k1_explicit,
@@ -77,6 +83,12 @@ class TestParams:
         p = GenFunParams(m=2, k=2, n=4, alphas=(1, 2, 3))
         # base = -2k/n = -1
         assert p.weights() == [1 - 2 + 3, 2 - 6, 3]
+
+    @given(st.integers(0, 5), st.integers(0, 8), st.integers(1, 9),
+           st.lists(st.fractions(max_denominator=7).map(Rat), min_size=6, max_size=6))
+    def test_weights_match_the_term_by_term_sum(self, m, k, n, alphas):
+        p = GenFunParams(m=m, k=k, n=n, alphas=alphas[: m + 1])
+        assert p.weights() == weights_by_sum(p)
 
 
 class TestDefinitionalSeries:
@@ -339,7 +351,7 @@ class TestVerifier:
         def fail(*args, **kwargs):
             raise AssertionError("built a series for an unknown variant")
 
-        for name in ("s1_m1_closed", "s1_series"):
+        for name in ("s1_m1_closed", "s1_series", "g_series", "_prefixed_block", "_explicit_series"):
             monkeypatch.setattr(genfun, name, fail)
         params = {"m": 1, "k": 2, "n": 3, "alphas": (1, 1), "variant": "nope"}
         with pytest.raises(ValueError, match="unknown variant 'nope'"):
@@ -366,3 +378,129 @@ class TestVerifier:
     def test_run_suite_rejects_unknown(self):
         with pytest.raises(ValueError):
             run_suite("nope")
+
+    def test_run_suite_rejects_order_below_grid_k_before_checking(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("checked a point before rejecting the grid")
+
+        monkeypatch.setattr(genfun, "verify_identity", fail)
+        with pytest.raises(GridOrderError, match=r"order=4 is below k=5, .* max_k=6") as exc:
+            run_suite("all", order=4, max_n=1)
+        assert (exc.value.suite, exc.value.k) == ("g-closed-form", 5)
+        with pytest.raises(GridOrderError, match="b2-k1"):
+            run_suite("b2-k1", order=0, max_n=1)
+
+    def test_run_suite_order_below_k_where_order_is_unused(self):
+        # recurrence draws k up to max_n + 1 and never truncates at k
+        reports = run_suite("recurrence", order=4)
+        assert len(reports) == 77 and all(r.status == VERIFIED for r in reports)
+
+    def test_run_suite_at_order_equal_to_max_k(self):
+        reports = run_suite("s2-m2", order=2, max_n=1, max_k=2)
+        assert {r.status for r in reports} <= {VERIFIED, PRINTED_MISMATCH}
+
+
+WEIGHT_LINEAR_IDS = ("s1-m1", "s1-m2", "s2-m1", "s2-m2", "s2-stirling", "ay-2", "b2-k1")
+
+
+def _outcome(report_of, identity_id, params, order):
+    """The report as a JSON dict, or the type and message it raised."""
+    try:
+        return report_of(identity_id, params, order).to_json_dict()
+    except (ValueError, TypeError) as exc:
+        return (type(exc), str(exc))
+
+
+def _both(identity_id, params, order):
+    new = _outcome(verify_identity, identity_id, params, order)
+    assert new == _outcome(weight_linear_report_by_series, identity_id, params, order), (
+        identity_id, params, order)
+    return new
+
+
+def _sub_grid_points(identity_id, max_k=3, max_n=3, alpha_set=(Rat(0), Rat(-1), Rat(1, 2))):
+    ms = {"s1-m1": (1,), "s2-m1": (1,), "s1-m2": (2,), "s2-m2": (2,)}.get(identity_id, (0, 1, 2, 3))
+    variants = ("printed", "corrected") if identity_id in WEIGHT_LINEAR_IDS[:4] else (None,)
+    for m in ms:
+        for k in range(max_k + 1):
+            for n in range(1, max_n + 1):
+                for alphas in itertools.product(alpha_set, repeat=m + 1):
+                    for variant in variants:
+                        params = {"m": m, "k": k, "n": n, "alphas": alphas}
+                        if variant:
+                            params["variant"] = variant
+                        yield params
+
+
+class TestLinearFormsAgainstSeries:
+    """The weight-linear identities are checked as linear forms over cached
+    blocks; these compare every report with the whole-series check."""
+
+    @pytest.mark.parametrize("order", [0, 2, 5, 8])
+    @pytest.mark.parametrize("identity_id", WEIGHT_LINEAR_IDS)
+    def test_sub_grid(self, identity_id, order):
+        # k = 0 and k > order are on the grid: both paths must raise alike
+        statuses = set()
+        for params in _sub_grid_points(identity_id):
+            outcome = _both(identity_id, params, order)
+            statuses.add(outcome[0] if isinstance(outcome, tuple) else outcome["status"])
+        assert VERIFIED in statuses or order == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(WEIGHT_LINEAR_IDS),
+        st.integers(0, 3),
+        st.integers(0, 4),
+        st.integers(1, 6),
+        st.integers(0, 9),
+        st.lists(st.sampled_from([Rat(0), Rat(0), Rat(1), Rat(-2, 3), Rat(5, 2)]), min_size=4, max_size=4),
+        st.sampled_from(["printed", "corrected"]),
+    )
+    def test_random_points(self, identity_id, m, k, n, order, alphas, variant):
+        params = {"m": m, "k": k, "n": n, "alphas": tuple(alphas[: m + 1]), "variant": variant}
+        _both(identity_id, params, order)
+
+    @pytest.mark.parametrize("defective", [False, True])
+    @pytest.mark.parametrize("identity_id", WEIGHT_LINEAR_IDS[:4])
+    def test_printed_defect_row_patched(self, monkeypatch, identity_id, defective):
+        key = {"s1-m1": (1, 1), "s1-m2": (1, 2), "s2-m1": (2, 1), "s2-m2": (2, 2)}[identity_id]
+        row = genfun._Defects(defective, defective, defective and key[1] == 2)
+        monkeypatch.setitem(genfun._PRINTED_DEFECTS, key, row)
+        statuses = set()
+        for params in _sub_grid_points(identity_id, max_k=2, max_n=2):
+            if params["k"]:
+                statuses.add(_both(identity_id, params, 6)["status"])
+        assert (PRINTED_MISMATCH in statuses) == defective
+
+    @pytest.mark.parametrize("identity_id,tail", [
+        ("s2-stirling", "stirling"), ("s1-m2", "family-1"), ("ay-2", "family-2")])
+    def test_perturbed_block_gives_the_same_mismatch(self, monkeypatch, identity_id, tail):
+        block = genfun._prefixed_block
+
+        def perturbed(t, l, k, order, power):
+            series = block(t, l, k, order, power)
+            if t != tail or l != 2:
+                return series
+            coeffs = list(series.coeffs)
+            coeffs[3] = coeffs[3] + Poly((Rat(1, 7), Rat(1)))
+            return ExpSeries(coeffs)
+
+        monkeypatch.setattr(genfun, "_prefixed_block", perturbed)
+        divergences = set()
+        for params in _sub_grid_points(identity_id, max_k=2, max_n=2):
+            if params["m"] != 2 or params["alphas"][2] == 0 or params["k"] == 0:
+                continue
+            outcome = _both(identity_id, params, 6)
+            assert outcome["status"] == MISMATCH
+            divergences.add(outcome["first_divergence"]["v"])
+        assert divergences == {3}
+
+    def test_checks_never_call_the_public_builders(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a check built a whole series")
+
+        for name in ("s1_series", "s2_series", "s2_stirling_closed", "s1_m1_closed", "s1_m2_closed",
+                     "s2_m1_closed", "s2_m2_closed", "b2_explicit", "b2_k1_explicit", "_sum"):
+            monkeypatch.setattr(genfun, name, fail)
+        for identity_id in WEIGHT_LINEAR_IDS:
+            assert run_suite(identity_id, max_n=2, max_k=2)

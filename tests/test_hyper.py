@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from oracles import miller_paris_rhs_by_series_algebra
@@ -81,6 +82,21 @@ class TestPfqEvalFloat:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             pfq_eval_float(HyperSpec((), ()), 1.0, 0.0)
+
+    @pytest.mark.parametrize("z", [-20.0, -40.0, -60.0])
+    @pytest.mark.parametrize("a,b", [(1, 2), (2, 3), (1, 3), (5, 6), (Rat(1, 2), Rat(3, 2))])
+    def test_1f1_large_negative_argument(self, a, b, z):
+        # summed directly, these cancel terms of size up to e^|z|
+        value = pfq_eval_float(HyperSpec((a,), (b,)), z, 1e-12)
+        expected = float(mpmath.hyp1f1(mpmath.mpf(float(a)), mpmath.mpf(float(b)), z))
+        assert abs(value - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("spec", [HyperSpec((), ()), HyperSpec((1, 2), (3, 4))])
+    def test_cancelling_sum_raises(self, spec):
+        # 0F0(-60) = e^-60 and 2F2(1,2;3,4;-60) sum terms of size 1e18 and
+        # more: float rounding alone exceeds the tolerance
+        with pytest.raises(ArithmeticError, match="cancellation"):
+            pfq_eval_float(spec, -60.0, 1e-12)
 
 
 class TestKummerIntegral:
