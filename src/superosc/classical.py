@@ -100,6 +100,9 @@ class BiPoly:
             parts.append(body)
         return " + ".join(parts)
 
+    def __str__(self):
+        return self.to_string()
+
     def __repr__(self):
         return f"BiPoly({self.to_string()})"
 

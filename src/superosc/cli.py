@@ -30,7 +30,7 @@ from .genfun import (
     s1_series,
     s2_series,
 )
-from .shift import EntireFnSpec, limit_profile
+from .shift import EntireFnSpec, IDENTITY_FN, ONE_FN, limit_profile
 
 
 def _fmt(value: float) -> str:
@@ -276,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--p", type=int, default=0)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--g", type=_parse_poly_coeffs, default=EntireFnSpec((0.0, 1.0)))
-    p.add_argument("--h", type=_parse_poly_coeffs, default=EntireFnSpec((1.0,)))
+    p.add_argument("--g", type=_parse_poly_coeffs, default=IDENTITY_FN)
+    p.add_argument("--h", type=_parse_poly_coeffs, default=ONE_FN)
     p.add_argument("--n-list", type=_parse_int_list, default=[50, 100, 200])
     p.add_argument("--x-min", type=float, default=-0.5)
     p.add_argument("--x-max", type=float, default=0.5)

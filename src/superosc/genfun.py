@@ -493,16 +493,6 @@ def _dual_check(family, m):
     return check
 
 
-def _check_heat_equation(identity_id, params, order):
-    # the residual is a BiPoly in x and y: it is rendered whole, at v = 0
-    n = params["n"]
-    residual = classical.heat_residual(n)
-    if residual.is_zero:
-        return IdentityReport(identity_id, {"n": n}, order, VERIFIED)
-    divergence = Divergence(v=0, lhs=residual.to_string(), rhs="0")
-    return IdentityReport(identity_id, {"n": n}, order, MISMATCH, divergence)
-
-
 # ---------------------------------------------------------------------------
 # the catalogue
 
@@ -598,7 +588,11 @@ _CATALOGUE = {
             params["k"], params["n"], order),
         lambda grid: ({"k": k, "n": n} for n in range(grid.max_n + 1) for k in range(n + 1)),
     ),
-    "heat-equation": _Identity(_check_heat_equation, lambda grid: ({"n": n} for n in range(9))),
+    # the residual is a BiPoly in x and y: it is rendered whole, at v = 0
+    "heat-equation": _Identity(
+        _point_check(("n",), lambda n, order: (classical.heat_residual(n), classical.BiPoly())),
+        lambda grid: ({"n": n} for n in range(9)),
+    ),
     "hermite-kummer": _Identity(
         _point_check(("n",), lambda n, order: (
             classical.hermite(n), classical.hermite_from_kummer(n))),

@@ -10,7 +10,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.integrate import quad
+import mpmath as mp
 
 from .combinat import binomial, stirling2
 from .exact import ExpSeries, ONE_POLY, Poly, Rat, as_rat, series_powers
@@ -19,6 +19,11 @@ from .exact import ExpSeries, ONE_POLY, Poly, Rat, as_rat, series_powers
 #: (terms are not monotone for negative upper parameters)
 _STABLE_TERMS = 10
 _MAX_TERMS = 100_000
+#: the float partial sum is scaled down by a power of two once it passes
+#: this, so that a sum scaled back by e^z afterwards never overflows on
+#: the way
+_RESCALE_AT = 2.0**512
+_OVERFLOW = "hypergeometric partial sum overflows a float"
 
 
 def _is_nonpositive_integer(r) -> bool:
@@ -76,31 +81,51 @@ def pfq_series(spec: HyperSpec, zscale: Poly, order: int) -> ExpSeries:
 def pfq_eval_float(spec: HyperSpec, z: float, tol: float) -> float:
     """Partial sum of the series at a real argument, entire case (p <= q)
     only.  Stops once _STABLE_TERMS consecutive terms are below
-    tol*(1+|sum|).
+    tol*(1+|sum|) and each is at least twice the next, so that the tail
+    left off is below the last term taken.
 
     1F1(a; b; z) at z < 0 is summed as e^z 1F1(b-a; b; -z) (Kummer's
-    transformation), whose terms do not cancel.  Any other sum whose
-    largest term reaches tol/eps times |sum| loses more than tol to
+    transformation), whose terms do not cancel.  The sum is kept as a
+    float mantissa times 2^shift, scaled down exactly whenever it grows
+    past _RESCALE_AT, and e^z 2^shift is applied at the end, so a value
+    such as 1F1(1; 2; -2000) does not overflow on the way.  Any other sum
+    whose largest term reaches tol/eps times |sum| loses more than tol to
     cancellation in floats, and raises ArithmeticError instead of
-    returning it; so does a sum that overflows."""
+    returning it; so does a result that overflows."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if spec.p > spec.q:
         raise ValueError("float evaluation supports only p <= q (entire case)")
+    log_factor = 0.0
     if spec.p == spec.q == 1 and z < 0:
         (a,), (b,) = spec.upper, spec.lower
-        return math.exp(z) * pfq_eval_float(HyperSpec((b - a,), (b,)), -z, tol)
+        spec, z, log_factor = HyperSpec((b - a,), (b,)), -z, z
     total = 0.0
     term = 1.0
     largest = 0.0
+    # the true partial sum is total * 2^shift; one = 2^-shift is 1 in
+    # those units
+    shift = 0
+    one = 1.0
     small = 0
     m = 0
     while m < _MAX_TERMS:
         total += term
         largest = max(largest, abs(term))
         if not math.isfinite(total):
-            raise ArithmeticError("hypergeometric partial sum overflows a float")
-        if abs(term) < tol * (1.0 + abs(total)):
+            raise ArithmeticError(_OVERFLOW)
+        if abs(total) > _RESCALE_AT:
+            total, e = math.frexp(total)
+            term, largest = math.ldexp(term, -e), math.ldexp(largest, -e)
+            shift += e
+            one = math.ldexp(1.0, -shift)
+        num = 1.0
+        for b in spec.upper:
+            num *= float(b) + m
+        den = 1.0
+        for g in spec.lower:
+            den *= float(g) + m
+        if abs(term) < tol * (one + abs(total)) and abs(num * z) <= (m + 1) * abs(den) / 2:
             small += 1
             if small >= _STABLE_TERMS:
                 if sys.float_info.epsilon * largest > tol * abs(total):
@@ -108,15 +133,13 @@ def pfq_eval_float(spec: HyperSpec, z: float, tol: float) -> float:
                         f"cancellation: largest term {largest:.3g} against sum {total:.3g} "
                         f"leaves less than tolerance {tol:g} of float precision"
                     )
-                return total
+                with mp.workprec(53):
+                    value = float(mp.ldexp(mp.exp(log_factor), shift)) * total
+                if not math.isfinite(value):
+                    raise ArithmeticError(_OVERFLOW)
+                return value
         else:
             small = 0
-        num = 1.0
-        for b in spec.upper:
-            num *= float(b) + m
-        den = 1.0
-        for g in spec.lower:
-            den *= float(g) + m
         term = term * num / den * z / (m + 1)
         m += 1
     raise RuntimeError("hypergeometric series did not stabilize")
@@ -129,9 +152,15 @@ def kummer_integral(mu, sigma, u: float) -> float:
         Gamma(sigma)/(Gamma(mu)Gamma(sigma-mu))
             * int_0^1 e^{u w} w^{mu-1} (1-w)^{sigma-mu-1} dw,
 
-    valid for sigma > mu > 0.  Adaptive quadrature with absolute-error
-    target 1e-10; mu >= 1 keeps the integrand free of an endpoint
-    singularity at w = 0.
+    valid for sigma > mu > 0.  The substitution w = 1 - r^(1/(sigma-mu))
+    turns the integral into (1/(sigma-mu)) int_0^1 e^{u w} w^{mu-1} dr,
+    removing the (1-w)^(sigma-mu-1) factor, which is singular at w = 1
+    when sigma - mu < 1; mu >= 1 keeps w^(mu-1) bounded at w = 0.  The
+    integral is mpmath's tanh-sinh quadrature at 64 bits: the 11 bits
+    beyond a float cover the rounding in e^{u w}, which the quadrature's
+    error estimate does not see.  The result meets a relative error
+    target of 1e-10, or ArithmeticError is raised: when the quadrature's
+    estimate is above the target, or when the value overflows a float.
     """
     mu = as_rat(mu)
     sigma = as_rat(sigma)
@@ -139,15 +168,24 @@ def kummer_integral(mu, sigma, u: float) -> float:
         raise ValueError("integral representation requires sigma > mu > 0")
     if mu < 1:
         raise ValueError("mu < 1 puts an integrable singularity at w=0; unsupported")
-    mu_f = float(mu)
-    sig_f = float(sigma)
-    prefactor = math.gamma(sig_f) / (math.gamma(mu_f) * math.gamma(sig_f - mu_f))
+    with mp.workprec(64):
+        mu_m, gap = (mp.mpf(r.numerator) / r.denominator for r in (mu, sigma - mu))
+        power = 1 / gap
 
-    def integrand(w: float) -> float:
-        return math.exp(u * w) * w ** (mu_f - 1.0) * (1.0 - w) ** (sig_f - mu_f - 1.0)
+        def integrand(r):
+            w = 1 - r**power
+            return mp.exp(u * w) * w ** (mu_m - 1)
 
-    value, _err = quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return prefactor * value
+        value, error = mp.quad(integrand, [0, 1], error=True)
+        if error > 1e-10 * abs(value):
+            raise ArithmeticError(
+                f"quadrature error estimate {float(error):.3g} exceeds 1e-10 "
+                f"of the integral {float(value):.3g}"
+            )
+        result = float(value / (gap * mp.beta(mu_m, gap)))
+    if not math.isfinite(result):
+        raise ArithmeticError("Kummer integral overflows a float")
+    return result
 
 
 @lru_cache(maxsize=None)

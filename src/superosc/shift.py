@@ -88,29 +88,21 @@ def y_weights(n: int, a: float, h: EntireFnSpec) -> list:
     return weights
 
 
-def _limit_fn(kind: str, a: float, p: int = 0, m: int = 1, g: EntireFnSpec = None, h: EntireFnSpec = None):
+def _sum_and_limit(kind: str, a: float, p: int, m: int, g: EntireFnSpec, h: EntireFnSpec):
+    """(evaluate(n, x), limit(x)) of the chosen sum: the sum itself and
+    amp e^{i freq x}, its limit on compact sets."""
     if kind == "dpf":
-        amp = (1j * a) ** p
-        freq = a
+        evaluate = lambda n, x: dpf_eval(n, a, x, p)
+        amp, freq = (1j * a) ** p, a
     elif kind == "z":
-        amp = (1j * a) ** (m * p)
-        freq = a**m
+        evaluate = lambda n, x: z_eval(n, a, x, m, p)
+        amp, freq = (1j * a) ** (m * p), a**m
     elif kind == "y":
-        amp = complex(h(a))
-        freq = g(a)
+        evaluate = lambda n, x: y_eval(n, a, x, g, h)
+        amp, freq = complex(h(a)), g(a)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return lambda x: amp * complex(math.cos(freq * x), math.sin(freq * x))
-
-
-def _eval_fn(kind: str, a: float, p: int = 0, m: int = 1, g: EntireFnSpec = None, h: EntireFnSpec = None):
-    if kind == "dpf":
-        return lambda n, x: dpf_eval(n, a, x, p)
-    if kind == "z":
-        return lambda n, x: z_eval(n, a, x, m, p)
-    if kind == "y":
-        return lambda n, x: y_eval(n, a, x, g, h)
-    raise ValueError(f"unknown kind {kind!r}")
+    return evaluate, lambda x: amp * complex(math.cos(freq * x), math.sin(freq * x))
 
 
 def limit_profile(
@@ -129,8 +121,7 @@ def limit_profile(
     if not n_list:
         raise ValueError("n_list must be nonempty")
     xs = sample_grid(x_lo, x_hi, samples)
-    evaluate = _eval_fn(kind, a, p, m, g, h)
-    limit = _limit_fn(kind, a, p, m, g, h)
+    evaluate, limit = _sum_and_limit(kind, a, p, m, g, h)
     values = {}
     sup_error = {}
     for n in n_list:

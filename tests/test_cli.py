@@ -365,3 +365,14 @@ def test_console_script_installed():
     )
     assert result.returncode == 0
     assert result.stdout == COEFFS_GOLDEN
+
+
+def test_cli_import_loads_no_scipy():
+    # mpmath is the one numeric library
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, superosc.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

@@ -12,7 +12,7 @@ from oracles import weight_linear_report_by_series, weights_by_sum
 from superosc.coeffs import HALF_1_MINUS_X, HALF_1_PLUS_X, c_coeff, g_series
 from superosc.combinat import stirling2
 from superosc.exact import ExpSeries, Poly, Rat, series_exp_linear, series_shift_tk
-from superosc import genfun
+from superosc import classical, genfun
 from superosc.genfun import (
     DEFAULT_ALPHA_SET,
     GenFunParams,
@@ -374,6 +374,19 @@ class TestVerifier:
         for name in ("derivative", "bernstein-map", "16a", "heat-equation"):
             reports = run_suite(name, max_n=4, max_k=3)
             assert reports and all(r.status == VERIFIED for r in reports)
+
+    def test_heat_equation_mismatch_report(self, monkeypatch):
+        # a nonzero residual is rendered whole, at v = 0, against "0"
+        residual = classical.BiPoly({(1, 2): 3, (0, 0): -1})
+        monkeypatch.setattr(classical, "heat_residual", lambda n: residual)
+        report = verify_identity("heat-equation", {"n": 2}, order=12)
+        assert report.to_json_dict() == {
+            "identity": "heat-equation",
+            "params": {"n": 2},
+            "order": 12,
+            "status": MISMATCH,
+            "first_divergence": {"v": 0, "lhs": "-1 + 3*x*y^2", "rhs": "0"},
+        }
 
     def test_run_suite_rejects_unknown(self):
         with pytest.raises(ValueError):

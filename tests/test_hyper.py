@@ -83,13 +83,22 @@ class TestPfqEvalFloat:
         with pytest.raises(ValueError):
             pfq_eval_float(HyperSpec((), ()), 1.0, 0.0)
 
-    @pytest.mark.parametrize("z", [-20.0, -40.0, -60.0])
+    @pytest.mark.parametrize("z", [-20.0, -40.0, -60.0, -700.0, -800.0, -2000.0])
     @pytest.mark.parametrize("a,b", [(1, 2), (2, 3), (1, 3), (5, 6), (Rat(1, 2), Rat(3, 2))])
     def test_1f1_large_negative_argument(self, a, b, z):
-        # summed directly, these cancel terms of size up to e^|z|
+        # summed directly, these cancel terms of size up to e^|z|; from
+        # z = -710 on, the Kummer-transformed sum alone overflows a float
         value = pfq_eval_float(HyperSpec((a,), (b,)), z, 1e-12)
-        expected = float(mpmath.hyp1f1(mpmath.mpf(float(a)), mpmath.mpf(float(b)), z))
+        with mpmath.workprec(120):
+            expected = float(mpmath.hyp1f1(mpmath.mpf(float(a)), mpmath.mpf(float(b)), z))
         assert abs(value - expected) <= 1e-12 * abs(expected)
+
+    def test_overflowing_sum_raises(self):
+        assert pfq_eval_float(HyperSpec((), ()), 700.0, 1e-14) == pytest.approx(
+            math.exp(700.0), rel=1e-12
+        )
+        with pytest.raises(ArithmeticError, match="overflows"):
+            pfq_eval_float(HyperSpec((), ()), 720.0, 1e-14)
 
     @pytest.mark.parametrize("spec", [HyperSpec((), ()), HyperSpec((1, 2), (3, 4))])
     def test_cancelling_sum_raises(self, spec):
@@ -121,6 +130,40 @@ class TestKummerIntegral:
             kummer_integral(3, 2, 1.0)  # sigma <= mu
         with pytest.raises(ValueError):
             kummer_integral(Rat(1, 2), 2, 1.0)  # mu < 1 unsupported
+
+    @pytest.mark.parametrize("u", [-60.0, -4.0, 0.0, 4.0, 60.0])
+    @pytest.mark.parametrize("mu", [1, 2, 3, 5])
+    @pytest.mark.parametrize("gap", [Rat(1, 2), Rat(1, 3)])
+    def test_singular_endpoint(self, gap, mu, u):
+        # sigma - mu < 1 puts (1-w)^(sigma-mu-1) in the untransformed
+        # integrand; at mu = 5, gap = 1/3, u = -60 a 53-bit quadrature's
+        # estimate is above the target
+        sigma = mu + gap
+        with mpmath.workprec(120):
+            expected = float(mpmath.hyp1f1(mu, mpmath.mpf(sigma.numerator) / sigma.denominator, u))
+        assert abs(kummer_integral(mu, sigma, u) - expected) <= 1e-12 * abs(expected)
+
+    def test_large_sigma(self):
+        # Gamma(200) overflows a float; the prefactor does not
+        with mpmath.workprec(120):
+            expected = float(mpmath.hyp1f1(1, 200, 3))
+        assert abs(kummer_integral(1, 200, 3.0) - expected) <= 1e-12 * expected
+
+    def test_overflow_raises(self):
+        with pytest.raises(ArithmeticError, match="overflows"):
+            kummer_integral(1, 2, 800.0)
+
+    @pytest.mark.parametrize("value", [1.0, 1e6])
+    def test_error_estimate_checked_against_value(self, monkeypatch, value):
+        # the estimate is absolute: the 1e-10 target scales with the value
+        def quad(estimate):
+            return lambda f, interval, error: (mpmath.mpf(value), mpmath.mpf(estimate))
+
+        monkeypatch.setattr(mpmath, "quad", quad(0.9e-10 * value))
+        assert kummer_integral(1, 2, 0.0) == pytest.approx(value)
+        monkeypatch.setattr(mpmath, "quad", quad(1.1e-10 * value))
+        with pytest.raises(ArithmeticError, match="error estimate"):
+            kummer_integral(1, 2, 0.0)
 
 
 class TestTruncationVsFloat:
@@ -161,13 +204,12 @@ class TestExpMomentSeries:
 
     def test_matches_quadrature(self):
         # the power=1 series really is int_0^1 e^{z t u} u^{k-1} du
-        from scipy.integrate import quad
-
         k = 3
         x, t = Rat(1, 3), Rat(1, 2)
         series = exp_moment_series(k, 20, HALF_1_PLUS_X, 1)
         zt = float(HALF_1_PLUS_X(x) * t)
-        expected, _ = quad(lambda u: math.exp(zt * u) * u ** (k - 1), 0.0, 1.0)
+        with mpmath.workprec(120):
+            expected = float(mpmath.quad(lambda u: mpmath.exp(zt * u) * u ** (k - 1), [0, 1]))
         assert float(series.evaluate(x, t)) == pytest.approx(expected, abs=1e-12)
 
 
