@@ -3,7 +3,6 @@ their exact relations to the superoscillation coefficients c_k(n, x)."""
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 from .coeffs import HALF_1_MINUS_X, c_coeff

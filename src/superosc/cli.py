@@ -200,7 +200,7 @@ def cmd_supershift(args) -> int:
     return 0
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -294,9 +294,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -82,31 +82,12 @@ def fourier_sum_precision(n: int, a: float, extra_log2: float = 0.0) -> int:
     return 80 + int(n * math.log2(1.0 + abs(a)) + extra_log2)
 
 
-def _poly_at(coeffs, k):
+def poly_at(coeffs, k):
     """Horner evaluation of ascending coefficients at k."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * k + c
     return acc
-
-
-def fourier_terms(n: int, a: float, weight: tuple, prec: int) -> tuple:
-    """(j0, terms) with terms[i] = c_j(n,a) W(k_j) for j = j0 + i, at prec
-    bits; W is the polynomial with ascending coefficients weight.
-
-    Vanishing terms at either end are dropped: at a = 1 (a = -1) every
-    c_j but the first (last) is exactly zero."""
-    with mp.workprec(prec):
-        u = (1 + mp.mpf(a)) / 2
-        w = (1 - mp.mpf(a)) / 2
-        terms = [
-            mp.binomial(n, j) * u ** (n - j) * w**j * _poly_at(weight, mp.mpf(n - 2 * j) / n)
-            for j in range(n + 1)
-        ]
-    nonzero = [j for j, term in enumerate(terms) if term != 0]
-    if not nonzero:
-        return 0, ()
-    return nonzero[0], tuple(terms[nonzero[0] : nonzero[-1] + 1])
 
 
 def _fixed(z, bits: int) -> tuple:
@@ -115,10 +96,24 @@ def _fixed(z, bits: int) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _fixed_terms(n: int, a: float, weight: tuple, prec: int) -> tuple:
-    """fourier_terms in the fixed-point form fourier_sum loops over."""
-    j0, terms = fourier_terms(n, a, weight, prec)
-    return j0, tuple(_fixed(term, prec) for term in terms)
+def fourier_terms(n: int, a: float, weight: tuple, prec: int) -> tuple:
+    """(j0, terms) with terms[i] = c_j(n,a) W(k_j) for j = j0 + i, built at
+    prec bits and kept as Gaussian integers (re, im) in units of 2^-prec;
+    W is the polynomial with ascending coefficients weight.
+
+    Vanishing terms at either end are dropped: at a = 1 (a = -1) every
+    c_j but the first (last) is exactly zero."""
+    with mp.workprec(prec):
+        u = (1 + mp.mpf(a)) / 2
+        w = (1 - mp.mpf(a)) / 2
+        terms = [
+            mp.binomial(n, j) * u ** (n - j) * w**j * poly_at(weight, mp.mpf(n - 2 * j) / n)
+            for j in range(n + 1)
+        ]
+    nonzero = [j for j, term in enumerate(terms) if term != 0]
+    if not nonzero:
+        return 0, ()
+    return nonzero[0], tuple(_fixed(term, prec) for term in terms[nonzero[0] : nonzero[-1] + 1])
 
 
 def fourier_sum(n: int, a: float, x: float, weight: tuple, phase: tuple) -> complex:
@@ -144,10 +139,10 @@ def fourier_sum(n: int, a: float, x: float, weight: tuple, phase: tuple) -> comp
     while degree > 0 and phase[degree] == 0:
         degree -= 1
     prec = fourier_sum_precision(n, a, degree * math.log2(n + 1))
-    j0, terms = _fixed_terms(n, a, tuple(weight), prec)
+    j0, terms = fourier_terms(n, a, tuple(weight), prec)
     order = min(degree, len(terms) - 1)
     with mp.workprec(prec):
-        diffs = [_poly_at(phase, mp.mpf(n - 2 * j) / n) * x for j in range(j0, j0 + order + 1)]
+        diffs = [poly_at(phase, mp.mpf(n - 2 * j) / n) * x for j in range(j0, j0 + order + 1)]
         for level in range(1, order + 1):
             for i in range(order, level - 1, -1):
                 diffs[i] -= diffs[i - 1]
@@ -194,18 +189,28 @@ def sample_grid(x_lo: float, x_hi: float, samples: int) -> tuple:
     return tuple(x_lo + i * step for i in range(samples))
 
 
+def sup_error_sweep(n_list, x_lo: float, x_hi: float, samples: int, sum_and_limit) -> GridResult:
+    """Values of a sequence on the sample grid and their sup error against
+    its limit, for each n.  sum_and_limit() gives (evaluate(n, x),
+    limit(x)); it is called once the grid is known to be valid."""
+    if not n_list:
+        raise ValueError("n_list must be nonempty")
+    xs = sample_grid(x_lo, x_hi, samples)
+    evaluate, limit = sum_and_limit()
+    values = {}
+    sup_error = {}
+    for n in n_list:
+        vals = tuple(evaluate(n, x) for x in xs)
+        sup_error[n] = max(abs(v - limit(x)) for v, x in zip(vals, xs))
+        values[n] = vals
+    return GridResult(xs=xs, values=values, sup_error=sup_error)
+
+
 def convergence_profile(
     n_list, a: float, x_lo: float, x_hi: float, samples: int
 ) -> GridResult:
     """Sup over the sample grid of |F_n(x,a) - e^{iax}| for each n."""
-    if not n_list:
-        raise ValueError("n_list must be nonempty")
-    xs = sample_grid(x_lo, x_hi, samples)
-    values = {}
-    sup_error = {}
-    for n in n_list:
-        vals = tuple(f_eval(n, a, x) for x in xs)
-        errs = [abs(v - complex(math.cos(a * x), math.sin(a * x))) for v, x in zip(vals, xs)]
-        values[n] = vals
-        sup_error[n] = max(errs)
-    return GridResult(xs=xs, values=values, sup_error=sup_error)
+    return sup_error_sweep(n_list, x_lo, x_hi, samples, lambda: (
+        lambda n, x: f_eval(n, a, x),
+        lambda x: complex(math.cos(a * x), math.sin(a * x)),
+    ))

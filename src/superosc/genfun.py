@@ -42,24 +42,16 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import classical
-from .coeffs import (
-    HALF_1_MINUS_X,
-    HALF_1_PLUS_X,
-    c_coeff,
-    c_derivative,
-    c_recurrence_rhs,
-    g_series,
-    half_power,
-)
+from .coeffs import c_coeff, c_derivative, c_recurrence_rhs, g_series
 from .combinat import binomial, factorial, stirling2
 from .exact import (
     DEFAULT_ORDER,
+    ONE_POLY,
     ExpSeries,
     Poly,
     Rat,
     as_rat,
     series_exp_linear,
-    series_shift_tk,
 )
 from .hyper import HyperSpec, miller_paris_lhs, miller_paris_rhs, exp_moment_series, pfq_series
 from .report import (
@@ -136,8 +128,8 @@ class GenFunParams:
 
 @lru_cache(maxsize=None)
 def _prefixed_block(tail: str, l: int, k: int, order: int, power: int) -> ExpSeries:
-    """P_power(T_l) = (1/k!)((1-x)t/2)^power T_l, where the l-th tail T_l is
-    a series in z = ((1+x)/2)t:
+    """P_power(T_l) = (1/k!)((1-x)t/2)^power T_l, where the l-th tail
+    T_l = sum_j s_j z^j/j! is a series in z = ((1+x)/2)t:
 
     * "family-1" / "family-2": the definitional pFq block, l copies of k
       over k+1 / of k+1 over k;
@@ -146,49 +138,57 @@ def _prefixed_block(tail: str, l: int, k: int, order: int, power: int) -> ExpSer
     * "stirling": the Stirling expansion of the family-2 block,
       miller_paris_rhs; e^z at l = 0, where miller_paris_rhs would reject
       k = 0.
+
+    (w t)^p (u t)^j / (k! j!) has t^v/v! coefficient (p!/k!) s_j c_p(v, x)
+    with v = p + j, u = (1+x)/2 and w = (1-x)/2; the scalars s_j are the
+    tail's coefficients at z = t.
     """
-    factor = half_power(False, power) / Rat(factorial(k))
+    factor = Rat(factorial(power), factorial(k))
     if tail in ("moment", "k-moment"):
-        series = exp_moment_series(k, order, HALF_1_PLUS_X, l)
+        series = exp_moment_series(k, order, ONE_POLY, l)
         if tail == "k-moment":
             factor = factor * k**l
     elif tail == "stirling":
         if l:
-            series = miller_paris_rhs(l, k, "general", order, HALF_1_PLUS_X)
+            series = miller_paris_rhs(l, k, "general", order)
         else:
-            series = series_exp_linear(HALF_1_PLUS_X, order)
+            series = series_exp_linear(ONE_POLY, order)
     else:
         upper, lower = (k, k + 1) if tail == "family-1" else (k + 1, k)
-        series = pfq_series(HyperSpec((upper,) * l, (lower,) * l), HALF_1_PLUS_X, order)
-    return series_shift_tk(series, power).scale(factor)
+        series = pfq_series(HyperSpec((upper,) * l, (lower,) * l), ONE_POLY, order)
+    scalars = [s.coefficient(0) * factor for s in series.coeffs]
+    return ExpSeries(
+        [c_coeff(power, v) * scalars[v - power] if v >= power else Poly() for v in range(order + 1)]
+    )
 
 
 @lru_cache(maxsize=None)
 def _b2_block(k: int, v: int, l: int) -> Poly:
     """R_{k,v,l} = sum_{c<=l} C(l,c) sum_{d<=c} C(v,d) d! S2(c,d) k^{-c}
-    ((1+x)/2)^d c_k(v-d, x)."""
-    acc = Poly()
-    for c in range(l + 1):
-        for d in range(c + 1):
-            s2 = stirling2(c, d)
-            cv = binomial(v, d)
-            if not s2 or not cv:
-                continue
-            scalar = Rat(binomial(l, c) * cv * factorial(d) * s2, k**c if c else 1)
-            acc = acc + half_power(True, d) * c_coeff(k, v - d) * scalar
-    return acc
+    ((1+x)/2)^d c_k(v-d, x) for k >= 1.  Since ((1+x)/2)^d c_k(v-d, x) =
+    C(v-d,k)/C(v,k) c_k(v, x), this is c_k(v, x) times a scalar; zero at
+    v < k."""
+    if v < k:
+        return Poly()
+    scalar = sum(
+        Rat(binomial(l, c) * binomial(v, d) * factorial(d) * stirling2(c, d) * binomial(v - d, k),
+            k**c * binomial(v, k))
+        for c in range(l + 1)
+        for d in range(c + 1)
+    )
+    return c_coeff(k, v) * scalar
 
 
 @lru_cache(maxsize=None)
 def _b2_k1_block(v: int, l: int) -> Poly:
     """(1-x)(1+x)^(v-1)/2^v sum_c C(v,c+1)(c+1)! S2(l+1,c+1), the k = 1
-    block of tail l; zero at v = 0."""
+    block of tail l, which is c_1(v, x)/v times that sum; zero at v = 0."""
     if v == 0:
         return Poly()
     inner = sum(
         binomial(v, c + 1) * factorial(c + 1) * stirling2(l + 1, c + 1) for c in range(l + 1)
     )
-    return HALF_1_MINUS_X * half_power(True, v - 1) * inner
+    return c_coeff(1, v) * Rat(inner, v)
 
 
 @lru_cache(maxsize=None)
@@ -627,18 +627,13 @@ def _identity(name: str) -> _Identity:
     try:
         return _CATALOGUE[name]
     except KeyError:
-        raise ValueError(f"unknown suite {name!r}") from None
+        raise ValueError(f"unknown identity {name!r}; known: {', '.join(IDENTITY_IDS)}") from None
 
 
 def verify_identity(identity_id: str, params: dict, order: int = DEFAULT_ORDER) -> IdentityReport:
     """Compare both sides of one catalogued identity at one parameter
     point, coefficientwise and exactly; never raises on mismatch."""
-    try:
-        check = _CATALOGUE[identity_id].check
-    except KeyError:
-        raise ValueError(
-            f"unknown identity {identity_id!r}; known: {', '.join(IDENTITY_IDS)}"
-        ) from None
+    check = _identity(identity_id).check
     _check_order(order)
     return check(identity_id, params, order)
 

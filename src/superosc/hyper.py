@@ -18,6 +18,8 @@ from .exact import ExpSeries, ONE_POLY, Poly, Rat, as_rat, series_powers
 #: stop the float partial sum after this many consecutive negligible terms
 #: (terms are not monotone for negative upper parameters)
 _STABLE_TERMS = 10
+#: the float partial sum gives up after _MAX_TERMS + 2|z| terms: at a large
+#: |z| the terms only start to shrink geometrically after about 2|z| of them
 _MAX_TERMS = 100_000
 #: the float partial sum is scaled down by a power of two once it passes
 #: this, so that a sum scaled back by e^z afterwards never overflows on
@@ -91,7 +93,8 @@ def pfq_eval_float(spec: HyperSpec, z: float, tol: float) -> float:
     such as 1F1(1; 2; -2000) does not overflow on the way.  Any other sum
     whose largest term reaches tol/eps times |sum| loses more than tol to
     cancellation in floats, and raises ArithmeticError instead of
-    returning it; so does a result that overflows."""
+    returning it; so does a result that overflows.  A sum that has not
+    stabilized after _MAX_TERMS + 2|z| terms raises RuntimeError."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if spec.p > spec.q:
@@ -109,7 +112,7 @@ def pfq_eval_float(spec: HyperSpec, z: float, tol: float) -> float:
     one = 1.0
     small = 0
     m = 0
-    while m < _MAX_TERMS:
+    while m < _MAX_TERMS + 2 * abs(z):
         total += term
         largest = max(largest, abs(term))
         if not math.isfinite(total):

@@ -11,8 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from .coeffs import GridResult, fourier_sum, fourier_sum_precision, fourier_terms, sample_grid
+from .coeffs import (
+    GridResult,
+    fourier_sum,
+    fourier_sum_precision,
+    fourier_terms,
+    poly_at,
+    sup_error_sweep,
+)
 
 
 @dataclass(frozen=True)
@@ -34,10 +42,7 @@ class EntireFnSpec:
         return cls(float(part) for part in text.split(","))
 
     def __call__(self, z):
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return poly_at(self.coeffs, z)
 
 
 IDENTITY_FN = EntireFnSpec((0.0, 1.0))
@@ -79,12 +84,17 @@ def y_eval(n: int, a: float, x: float, g: EntireFnSpec, h: EntireFnSpec) -> comp
 
 def y_weights(n: int, a: float, h: EntireFnSpec) -> list:
     """The generalized Fourier weights E_j(n,a) = c_j(n,a) h(k_j),
-    exposed for inspection (their frequencies k_j stay in [-1, 1])."""
+    exposed for inspection (their frequencies k_j stay in [-1, 1]).  They
+    are read from the fixed-point terms of fourier_sum, so each is within
+    2^-prec, prec = fourier_sum_precision(n, a) >= 80, of its exact value
+    before rounding to a float."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    j0, terms = fourier_terms(n, a, h.coeffs, fourier_sum_precision(n, a))
+    prec = fourier_sum_precision(n, a)
+    j0, terms = fourier_terms(n, a, h.coeffs, prec)
+    scale = 1 << prec
     weights = [0j] * (n + 1)
-    weights[j0 : j0 + len(terms)] = [complex(term) for term in terms]
+    weights[j0 : j0 + len(terms)] = [complex(re / scale, im / scale) for re, im in terms]
     return weights
 
 
@@ -118,14 +128,4 @@ def limit_profile(
     h: EntireFnSpec = ONE_FN,
 ) -> GridResult:
     """Sup error of the chosen sum against its stated limit, per n."""
-    if not n_list:
-        raise ValueError("n_list must be nonempty")
-    xs = sample_grid(x_lo, x_hi, samples)
-    evaluate, limit = _sum_and_limit(kind, a, p, m, g, h)
-    values = {}
-    sup_error = {}
-    for n in n_list:
-        vals = tuple(evaluate(n, x) for x in xs)
-        sup_error[n] = max(abs(v - limit(x)) for v, x in zip(vals, xs))
-        values[n] = vals
-    return GridResult(xs=xs, values=values, sup_error=sup_error)
+    return sup_error_sweep(n_list, x_lo, x_hi, samples, partial(_sum_and_limit, kind, a, p, m, g, h))

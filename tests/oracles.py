@@ -1,15 +1,17 @@
 """Independent brute-force oracles shared by the unit and acceptance
 suites.  These deliberately avoid the library's own recurrences, except
-the whole-series identity checks at the end, which reuse the library's
-blocks and test only how they are combined."""
+the whole-series identity checks, which reuse the library's blocks and
+test only how they are combined, and the block constructions at the end,
+which reuse the library's tails at z = ((1+x)/2)t and test only how they
+are turned into blocks."""
 
 import math
 
 import mpmath as mp
 
-from superosc import genfun
+from superosc import genfun, hyper
 from superosc.combinat import binomial, stirling2
-from superosc.exact import ExpSeries, Poly, Rat, series_shift_tk
+from superosc.exact import ExpSeries, Poly, Rat, series_exp_linear, series_shift_tk
 from superosc.genfun import GenFunParams
 from superosc.report import MISMATCH, PRINTED_MISMATCH, VERIFIED, Divergence, IdentityReport
 
@@ -198,3 +200,51 @@ def weight_linear_report_by_series(identity_id, params, order):
     if variant == "printed" and report.status == VERIFIED:
         report = _series_report(identity_id, out, order, printed, reference, PRINTED_MISMATCH)
     return report
+
+
+# ---------------------------------------------------------------------------
+# the genfun blocks built from powers of (1+x)/2 and (1-x)/2
+
+
+_HALF_1_PLUS_X = Poly((Rat(1, 2), Rat(1, 2)))
+_HALF_1_MINUS_X = Poly((Rat(1, 2), Rat(-1, 2)))
+
+
+def prefixed_block_by_shift(tail, l, k, order, power):
+    """(1/k!)((1-x)t/2)^power T_l with the tail T_l built at z = ((1+x)/2)t,
+    shifted by t^power and scaled by the Poly ((1-x)/2)^power / k!."""
+    u = _HALF_1_PLUS_X
+    if tail in ("moment", "k-moment"):
+        series = hyper.exp_moment_series(k, order, u, l)
+    elif tail == "stirling":
+        series = hyper.miller_paris_rhs(l, k, "general", order, u) if l else series_exp_linear(u, order)
+    else:
+        upper, lower = (k, k + 1) if tail == "family-1" else (k + 1, k)
+        series = hyper.pfq_series(hyper.HyperSpec((upper,) * l, (lower,) * l), u, order)
+    factor = _HALF_1_MINUS_X**power / Rat(math.factorial(k))
+    if tail == "k-moment":
+        factor = factor * k**l
+    return series_shift_tk(series, power).scale(factor)
+
+
+def b2_block_by_half_powers(k, v, l):
+    """sum_{c<=l} C(l,c) sum_{d<=c} C(v,d) d! S2(c,d) k^{-c} ((1+x)/2)^d
+    c_k(v-d, x), each c_k(v-d, x) built from half powers as well."""
+    acc = Poly()
+    for c in range(l + 1):
+        for d in range(c + 1):
+            if d > v or v - d < k:
+                continue
+            c_k = _HALF_1_PLUS_X ** (v - d - k) * _HALF_1_MINUS_X**k * binomial(v - d, k)
+            scalar = Rat(binomial(l, c) * binomial(v, d) * math.factorial(d) * stirling2(c, d), k**c)
+            acc = acc + _HALF_1_PLUS_X**d * c_k * scalar
+    return acc
+
+
+def b2_k1_block_by_half_powers(v, l):
+    """((1-x)/2)((1+x)/2)^(v-1) sum_c C(v,c+1)(c+1)! S2(l+1,c+1); zero at
+    v = 0."""
+    if v == 0:
+        return Poly()
+    inner = sum(binomial(v, c + 1) * math.factorial(c + 1) * stirling2(l + 1, c + 1) for c in range(l + 1))
+    return _HALF_1_MINUS_X * _HALF_1_PLUS_X ** (v - 1) * inner

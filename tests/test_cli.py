@@ -191,8 +191,14 @@ class TestVerify:
         assert "mismatch" not in statuses
 
     def test_unknown_suite_is_usage_error(self, capsys):
-        code, _ = run_cli(capsys, ["verify", "--suite", "no-such"])
+        code = cli.main(["verify", "--suite", "no-such"])
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown identity 'no-such'; known: recurrence, ")
+
+    def test_usage_error_is_a_value_error(self):
+        assert issubclass(cli.UsageError, ValueError)
 
     @pytest.mark.parametrize("suite", ["recurrence", "all"])
     def test_negative_order_is_usage_error(self, capsys, suite):

@@ -242,6 +242,17 @@ class TestOnePath:
         assert p * (q + r) == p * q + p * r
         assert (p + q) * r == p * r + q * r
 
+    @given(series(max_order=8), st.data())
+    def test_shift_by_a_then_b_is_shift_by_a_plus_b(self, s, data):
+        a = data.draw(st.integers(0, s.order))
+        b = data.draw(st.integers(0, s.order - a))
+        assert series_shift_tk(series_shift_tk(s, a), b) == series_shift_tk(s, a + b)
+
+    @settings(max_examples=40)
+    @given(polys, polys, polys)
+    def test_compose_is_associative(self, p, q, r):
+        assert p.compose(q).compose(r) == p.compose(q.compose(r))
+
 
 def _factorial(v):
     out = 1

@@ -7,12 +7,18 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import weight_linear_report_by_series, weights_by_sum
+from oracles import (
+    b2_block_by_half_powers,
+    b2_k1_block_by_half_powers,
+    prefixed_block_by_shift,
+    weight_linear_report_by_series,
+    weights_by_sum,
+)
 
 from superosc.coeffs import HALF_1_MINUS_X, HALF_1_PLUS_X, c_coeff, g_series
 from superosc.combinat import stirling2
 from superosc.exact import ExpSeries, Poly, Rat, series_exp_linear, series_shift_tk
-from superosc import classical, genfun
+from superosc import classical, coeffs, exact, genfun, hyper
 from superosc.genfun import (
     DEFAULT_ALPHA_SET,
     GenFunParams,
@@ -306,7 +312,7 @@ class TestVerifier:
         assert report.status == VERIFIED
 
     def test_unknown_identity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown identity 'no-such'; known: recurrence, "):
             verify_identity("no-such", {})
 
     def test_report_invariant(self):
@@ -389,8 +395,10 @@ class TestVerifier:
         }
 
     def test_run_suite_rejects_unknown(self):
-        with pytest.raises(ValueError):
+        # the message of verify_identity, naming every known identity
+        with pytest.raises(ValueError) as exc:
             run_suite("nope")
+        assert str(exc.value) == f"unknown identity 'nope'; known: {', '.join(IDENTITY_IDS)}"
 
     def test_run_suite_rejects_order_below_grid_k_before_checking(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -517,3 +525,71 @@ class TestLinearFormsAgainstSeries:
             monkeypatch.setattr(genfun, name, fail)
         for identity_id in WEIGHT_LINEAR_IDS:
             assert run_suite(identity_id, max_n=2, max_k=2)
+
+
+TAILS = ("family-1", "family-2", "k-moment", "moment", "stirling")
+
+
+def _built(build, *args):
+    """The block build(*args), or the type and message it raised."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+class TestBlocksInBernsteinBasis:
+    """Every block is built as scalars times the cached c_p(v, x); these
+    compare them with the blocks built from powers of (1+x)/2 and
+    (1-x)/2."""
+
+    @pytest.mark.parametrize("tail", TAILS)
+    def test_prefixed_block(self, tail):
+        # k = 0 is on the grid: where a tail rejects it, both raise alike
+        for l in range(4):
+            for k in range(5):
+                for power in sorted({1, k}):
+                    for order in range(power, 13):
+                        args = (tail, l, k, order, power)
+                        assert _built(genfun._prefixed_block, *args) == _built(
+                            prefixed_block_by_shift, *args), args
+
+    def test_prefixed_block_below_its_power_is_zero(self):
+        # the truncation of t^power T_l at an order below power
+        assert genfun._prefixed_block("family-2", 1, 3, 2, 3) == ExpSeries.zero(2)
+
+    def test_b2_blocks(self):
+        for v in range(15):
+            for l in range(4):
+                for k in range(1, 5):
+                    assert genfun._b2_block(k, v, l) == b2_block_by_half_powers(k, v, l), (k, v, l)
+                assert genfun._b2_k1_block(v, l) == b2_k1_block_by_half_powers(v, l), (v, l)
+
+    def test_blocks_build_polynomials_only_through_c_coeff(self, monkeypatch):
+        for cached in (genfun._prefixed_block, genfun._b2_block, genfun._b2_k1_block,
+                       genfun._explicit_series, hyper.pfq_series, hyper.exp_moment_series,
+                       hyper.miller_paris_rhs):
+            cached.cache_clear()
+        for k in range(5):
+            for v in range(13):
+                c_coeff(k, v)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a block was built outside c_coeff")
+
+        monkeypatch.setattr(exact, "series_shift_tk", fail)
+        monkeypatch.setattr(coeffs, "series_shift_tk", fail)
+        monkeypatch.setattr(ExpSeries, "scale", fail)
+        monkeypatch.setattr(coeffs, "half_power", fail)
+        monkeypatch.setattr(Poly, "__pow__", fail)
+        for tail in TAILS:
+            for l in range(4):
+                for k in range(1, 5):
+                    for power in {1, k}:
+                        genfun._prefixed_block(tail, l, k, 12, power)
+        for formula in ("b2", "b2-k1"):
+            for l in range(4):
+                for k in range(1, 5):
+                    genfun._explicit_series(formula, k, l, 12)
+        for name in ("HALF_1_PLUS_X", "HALF_1_MINUS_X", "half_power", "series_shift_tk"):
+            assert not hasattr(genfun, name)

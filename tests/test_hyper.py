@@ -83,11 +83,12 @@ class TestPfqEvalFloat:
         with pytest.raises(ValueError):
             pfq_eval_float(HyperSpec((), ()), 1.0, 0.0)
 
-    @pytest.mark.parametrize("z", [-20.0, -40.0, -60.0, -700.0, -800.0, -2000.0])
+    @pytest.mark.parametrize("z", [-20.0, -40.0, -60.0, -700.0, -800.0, -2000.0, -50000.0, -100000.0])
     @pytest.mark.parametrize("a,b", [(1, 2), (2, 3), (1, 3), (5, 6), (Rat(1, 2), Rat(3, 2))])
     def test_1f1_large_negative_argument(self, a, b, z):
         # summed directly, these cancel terms of size up to e^|z|; from
-        # z = -710 on, the Kummer-transformed sum alone overflows a float
+        # z = -710 on, the Kummer-transformed sum alone overflows a float;
+        # from about z = -50000 on, it needs more than _MAX_TERMS terms
         value = pfq_eval_float(HyperSpec((a,), (b,)), z, 1e-12)
         with mpmath.workprec(120):
             expected = float(mpmath.hyp1f1(mpmath.mpf(float(a)), mpmath.mpf(float(b)), z))

@@ -1,10 +1,12 @@
 import cmath
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import fourier_sum_per_term
-from superosc.coeffs import f_eval, f_eval_fourier, fourier_sum
+from superosc.coeffs import f_eval, f_eval_fourier, fourier_sum, fourier_sum_precision
 from superosc.shift import (
     EntireFnSpec,
     IDENTITY_FN,
@@ -125,6 +127,20 @@ class TestWeights:
             kj = 1 - 2 * j / n
             assert abs(ej - cj * (1 + kj)) < 1e-12
 
+    @pytest.mark.parametrize("n,a", [(1, 0.4), (5, -2.5), (12, 2.0), (50, 0.4), (60, 3.0)])
+    def test_weights_within_fixed_point_unit(self, n, a):
+        # a, the h coefficients and k_j are dyadic, so the exact weight is a
+        # Fraction; the fixed-point form is within 2^-prec of it
+        prec = fourier_sum_precision(n, a)
+        u, w = (1 + Fraction(a)) / 2, (1 - Fraction(a)) / 2
+        for j, ej in enumerate(y_weights(n, a, H_QUADRATIC)):
+            k = Fraction(n - 2 * j, n)
+            exact = math.comb(n, j) * u ** (n - j) * w**j * sum(
+                Fraction(c) * k**i for i, c in enumerate(H_QUADRATIC.coeffs))
+            assert ej.imag == 0
+            assert abs(Fraction(ej.real) - exact) <= Fraction(1, 2 ** (prec - 1)) + Fraction(
+                math.ulp(ej.real))
+
     def test_weighted_frequencies_bounded(self):
         n = 9
         ks = [1 - 2 * j / n for j in range(n + 1)]
@@ -139,6 +155,23 @@ class TestWeights:
             dpf_eval(5, 1.0, 0.0, -1)
         with pytest.raises(ValueError):
             limit_profile("nope", 1.0, [5], 0.0, 1.0, 3)
+
+    def test_validation_order(self):
+        # an empty n_list, then a bad grid, then an unknown kind
+        with pytest.raises(ValueError, match="n_list must be nonempty"):
+            limit_profile("nope", 1.0, [], 1.0, 0.0, 3)
+        with pytest.raises(ValueError, match="empty sample range"):
+            limit_profile("nope", 1.0, [5], 1.0, 0.0, 3)
+        with pytest.raises(ValueError, match="unknown kind 'nope'"):
+            limit_profile("nope", 1.0, [5], 0.0, 1.0, 3)
+
+    def test_entire_fn_is_horner_from_zero(self):
+        spec = EntireFnSpec((0.0, -1.5, 0.25, 3.0))
+        for z in (0.0, -0.0, 0.7, -2.5, 1e10, 0.5 - 1.25j):
+            acc = 0.0
+            for c in reversed(spec.coeffs):
+                acc = acc * z + c
+            assert spec(z) == acc and repr(spec(z)) == repr(acc)
 
 
 #: name -> (evaluate(n, a, x), weight W, phase Phi), the last two as the
