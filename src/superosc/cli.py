@@ -5,7 +5,11 @@ sweeps.
 Output is CSV (default) or JSON, deterministic and byte-stable for fixed
 flags; floats are printed with 17 significant digits.  Exit codes:
 0 = success (printed-form mismatches are expected and do not fail),
-1 = verification mismatch, 2 = usage error.
+1 = verification mismatch, 2 = usage or domain error (any ValueError,
+such as a bad flag value or a non-finite input), 3 = a computation that
+failed (ArithmeticError, such as a value that does not fit in a float,
+RuntimeError, or any other exception).  Exit codes 2 and 3 print a
+one-line message to stderr.
 """
 
 from __future__ import annotations
@@ -297,6 +301,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 3 keeps failures apart from mismatches (1)
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

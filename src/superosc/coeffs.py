@@ -11,8 +11,10 @@ extended by zero outside 0 <= k <= n.  Each frequency 1 - 2k/n stays in
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
@@ -75,11 +77,103 @@ def f_eval(n: int, a: float, x: float) -> complex:
     return complex(math.cos(theta), a * math.sin(theta)) ** n
 
 
-def fourier_sum_precision(n: int, a: float, extra_log2: float = 0.0) -> int:
-    """Working precision (bits) for Fourier-form sums: they add terms of
-    total magnitude max(1,|a|)^n to produce an O(1) value, so the
-    precision must absorb that cancellation."""
-    return 80 + int(n * math.log2(1.0 + abs(a)) + extra_log2)
+def _require_finite(name: str, value) -> None:
+    if not (isinstance(value, int) or cmath.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _dyadic_parts(c) -> tuple:
+    """Real and imaginary parts of c as exact Fractions (dyadic for floats)."""
+    if isinstance(c, complex):
+        return Fraction(c.real), Fraction(c.imag)
+    return Fraction(c), Fraction(0)
+
+
+def _ceil_log2(num: int, den: int) -> int:
+    """Smallest e with num <= den 2^e, for num, den > 0."""
+    e = num.bit_length() - den.bit_length()  # 2^(e-1) < num/den < 2^(e+1)
+    return e if (num <= den << e if e >= 0 else num << -e <= den) else e + 1
+
+
+def _ceil_abs(re: int, im: int) -> int:
+    """ceil |re + i im|, with no square root for a real or imaginary value."""
+    if not (re and im):
+        return abs(re or im)
+    return math.isqrt(re * re + im * im - 1) + 1
+
+
+@lru_cache(maxsize=64)
+def fourier_terms(n: int, a: float, weight: tuple) -> tuple:
+    """(j0, terms, den, magnitude): T_j = c_j(n,a) W(k_j) exactly, as
+    Gaussian integers (re, im) over one positive denominator, T_j =
+    terms[j - j0] / den; W is the polynomial with ascending coefficients
+    weight, and magnitude / den >= sum_j |T_j| (each |T_j| rounded up to
+    a whole unit of 1/den).
+
+    A float is a dyadic rational, so with a = p/q and the weight
+    coefficients W_i over a common denominator E, term j is
+    C(n,j) (q+p)^(n-j) (q-p)^j sum_i W_i E (n-2j)^i n^(deg W - i) over
+    den = (2q)^n E n^(deg W).  Vanishing terms at either end are dropped:
+    at a = 1 (a = -1) every c_j but the first (last) is exactly zero."""
+    _require_finite("a", a)
+    for c in weight:
+        _require_finite("weight coefficient", c)
+    ratio = Fraction(a)
+    p, q = ratio.numerator, ratio.denominator
+    parts = [_dyadic_parts(c) for c in weight]
+    scale = math.lcm(*(f.denominator for part in parts for f in part))
+    deg = max(len(weight) - 1, 0)
+    # W(m/n) n^deg scale = sum_i V_i m^i with V_i = W_i scale n^(deg - i)
+    homogeneous = [
+        (int(re * scale) * n ** (deg - i), int(im * scale) * n ** (deg - i))
+        for i, (re, im) in enumerate(parts)
+    ]
+    plus, minus = [1], [1]
+    for _ in range(n):
+        plus.append(plus[-1] * (q + p))
+        minus.append(minus[-1] * (q - p))
+    terms = []
+    for j in range(n + 1):
+        wr = wi = 0
+        for vr, vi in reversed(homogeneous):
+            wr, wi = wr * (n - 2 * j) + vr, wi * (n - 2 * j) + vi
+        c = math.comb(n, j) * plus[n - j] * minus[j]
+        terms.append((c * wr, c * wi))
+    den = (2 * q) ** n * scale * n**deg
+    nonzero = [j for j, term in enumerate(terms) if term != (0, 0)]
+    if not nonzero:
+        return 0, (), den, 0
+    kept = tuple(terms[nonzero[0] : nonzero[-1] + 1])
+    magnitude = sum(_ceil_abs(re, im) for re, im in kept)
+    return nonzero[0], kept, den, magnitude
+
+
+def fourier_sum_precision(n: int, a: float, weight: tuple = (1,), extra_log2: float = 0.0) -> int:
+    """Working precision (bits) of the Fourier-form sum of c_j(n,a) W(k_j):
+    80 + max(0, ceil(log2 sum_j |T_j|)) + extra_log2, read from the exact
+    terms.  The sum adds terms of total magnitude sum_j |T_j| (up to
+    max(1,|a|)^n times the size of W) to produce a value of order |W(a)|,
+    so that cancellation is what the precision must absorb."""
+    _, _, den, magnitude = fourier_terms(n, a, tuple(weight))
+    log2_sum = _ceil_log2(magnitude, den) if magnitude else 0
+    return 80 + max(0, log2_sum) + int(extra_log2)
+
+
+@lru_cache(maxsize=64)
+def _fixed_terms(n: int, a: float, weight: tuple, prec: int) -> tuple:
+    """(j0, terms): fourier_terms rounded once, each part to the nearest
+    integer in units of 2^-prec."""
+    j0, terms, den, _ = fourier_terms(n, a, weight)
+    twos = (den & -den).bit_length() - 1
+    odd = den >> twos
+    shift = prec + 1 - twos
+
+    def nearest(num):
+        # floor(2 num 2^prec / den), split into the odd divisor and a shift
+        twice = (num << shift) // odd if shift >= 0 else (num // odd) >> -shift
+        return (twice + 1) >> 1
+
+    return j0, tuple((nearest(re), nearest(im)) for re, im in terms)
 
 
 def poly_at(coeffs, k):
@@ -95,51 +189,45 @@ def _fixed(z, bits: int) -> tuple:
     return int(mp.ldexp(mp.re(z), bits)), int(mp.ldexp(mp.im(z), bits))
 
 
-@lru_cache(maxsize=64)
-def fourier_terms(n: int, a: float, weight: tuple, prec: int) -> tuple:
-    """(j0, terms) with terms[i] = c_j(n,a) W(k_j) for j = j0 + i, built at
-    prec bits and kept as Gaussian integers (re, im) in units of 2^-prec;
-    W is the polynomial with ascending coefficients weight.
-
-    Vanishing terms at either end are dropped: at a = 1 (a = -1) every
-    c_j but the first (last) is exactly zero."""
-    with mp.workprec(prec):
-        u = (1 + mp.mpf(a)) / 2
-        w = (1 - mp.mpf(a)) / 2
-        terms = [
-            mp.binomial(n, j) * u ** (n - j) * w**j * poly_at(weight, mp.mpf(n - 2 * j) / n)
-            for j in range(n + 1)
-        ]
-    nonzero = [j for j, term in enumerate(terms) if term != 0]
-    if not nonzero:
-        return 0, ()
-    return nonzero[0], tuple(_fixed(term, prec) for term in terms[nonzero[0] : nonzero[-1] + 1])
-
-
 def fourier_sum(n: int, a: float, x: float, weight: tuple, phase: tuple) -> complex:
     """sum_j c_j(n,a) W(k_j) e^{i Phi(k_j) x} with k_j = 1 - 2j/n, where W
     (real or complex) and Phi (real) are polynomials given as ascending
     coefficient tuples.
 
-    The terms c_j W(k_j) do not depend on x: they are built once per
-    (n, a, W, precision) and cached.  P(j) = Phi(k_j) x is a polynomial of
-    degree d in j, so with D_i the i-th forward difference of P the phase
-    factors obey e^{i D_i(j+1)} = e^{i D_i(j)} e^{i D_{i+1}(j)}: d+1
-    cos/sin pairs per x, then d complex multiplies per term.  The rounding
-    of that recurrence grows like j^d, which d log2(n+1) guard bits absorb.
+    The terms T_j = c_j W(k_j) do not depend on x: they are built exactly
+    once per (n, a, W) (fourier_terms) and rounded once to units of
+    2^-prec, prec = fourier_sum_precision(n, a, W, d log2(n+1)).  The loop
+    runs on Gaussian integers in those units: products with the terms are
+    exact and each step rounds once, by its rescaling shift.
 
-    The loop runs on Gaussian integers in units of 2^-prec: the products
-    with the terms are exact, and each phase step rounds once, by the
-    rescaling shift, so the error is that of mpmath arithmetic at prec bits
-    at a fraction of its cost.
+    P(j) = Phi(k_j) x is a polynomial of degree d in j.  For d <= 1 the sum
+    is e^{i P(j0)} sum_j T_j z^(j-j0), z = e^{i (P(j0+1) - P(j0))}, by
+    Horner: one complex multiply (three integer products) per term.  For
+    d >= 2, with D_i the i-th forward difference of P, the phase factors
+    obey e^{i D_i(j+1)} = e^{i D_i(j)} e^{i D_{i+1}(j)}: d+1 cos/sin pairs
+    per x, then d complex multiplies per term, and the rounding of that
+    recurrence grows like j^d.
+
+    Error: the absolute error is below a small multiple of
+    (n+1)^max(d,1) (1 + sum_j |T_j|) 2^-prec.  The precision adds
+    ceil(log2 sum_j |T_j|) and d log2(n+1) bits to 80, so that is a small
+    multiple of (n+1) 2^-80 for any a, n and W.  A result that does not
+    fit in a float raises ArithmeticError; a non-finite a, x or
+    coefficient raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _require_finite("x", x)
+    for c in phase:
+        _require_finite("phase coefficient", c)
+    weight = tuple(weight)
     degree = max(len(phase) - 1, 0)
     while degree > 0 and phase[degree] == 0:
         degree -= 1
-    prec = fourier_sum_precision(n, a, degree * math.log2(n + 1))
-    j0, terms = fourier_terms(n, a, tuple(weight), prec)
+    prec = fourier_sum_precision(n, a, weight, degree * math.log2(n + 1))
+    j0, terms = _fixed_terms(n, a, weight, prec)
+    if not terms:
+        return 0j
     order = min(degree, len(terms) - 1)
     with mp.workprec(prec):
         diffs = [poly_at(phase, mp.mpf(n - 2 * j) / n) * x for j in range(j0, j0 + order + 1)]
@@ -147,16 +235,30 @@ def fourier_sum(n: int, a: float, x: float, weight: tuple, phase: tuple) -> comp
             for i in range(order, level - 1, -1):
                 diffs[i] -= diffs[i - 1]
         rot = [_fixed(mp.mpc(mp.cos(d), mp.sin(d)), prec) for d in diffs]
-    re = im = 0
-    for tr, ti in terms:
+    if order <= 1:
+        zr, zi = rot[1] if order else (1 << prec, 0)
+        z_minus, z_plus = zi - zr, zr + zi
+        sr = si = 0
+        for tr, ti in reversed(terms):
+            # (sr + i si)(zr + i zi) in three products
+            k = zr * (sr + si)
+            sr, si = ((k - si * z_plus) >> prec) + tr, ((k + sr * z_minus) >> prec) + ti
         cr, ci = rot[0]
-        re += tr * cr - ti * ci
-        im += tr * ci + ti * cr
-        for i in range(order):
-            (ar, ai), (br, bi) = rot[i], rot[i + 1]
-            rot[i] = ((ar * br - ai * bi) >> prec, (ar * bi + ai * br) >> prec)
+        re, im = sr * cr - si * ci, sr * ci + si * cr
+    else:
+        re = im = 0
+        for tr, ti in terms:
+            cr, ci = rot[0]
+            re += tr * cr - ti * ci
+            im += tr * ci + ti * cr
+            for i in range(order):
+                (ar, ai), (br, bi) = rot[i], rot[i + 1]
+                rot[i] = ((ar * br - ai * bi) >> prec, (ar * bi + ai * br) >> prec)
     scale = 1 << 2 * prec
-    return complex(re / scale, im / scale)
+    try:
+        return complex(re / scale, im / scale)
+    except OverflowError:
+        raise ArithmeticError(f"Fourier sum at n={n}, a={a!r}, x={x!r} does not fit in a float") from None
 
 
 def f_eval_fourier(n: int, a: float, x: float) -> complex:
@@ -179,6 +281,8 @@ class GridResult:
 
 
 def sample_grid(x_lo: float, x_hi: float, samples: int) -> tuple:
+    _require_finite("x_lo", x_lo)
+    _require_finite("x_hi", x_hi)
     if samples < 1:
         raise ValueError("need at least one sample")
     if samples == 1:

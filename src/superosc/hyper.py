@@ -94,9 +94,12 @@ def pfq_eval_float(spec: HyperSpec, z: float, tol: float) -> float:
     whose largest term reaches tol/eps times |sum| loses more than tol to
     cancellation in floats, and raises ArithmeticError instead of
     returning it; so does a result that overflows.  A sum that has not
-    stabilized after _MAX_TERMS + 2|z| terms raises RuntimeError."""
+    stabilized after _MAX_TERMS + 2|z| terms raises RuntimeError.  A
+    non-finite z, like a tolerance <= 0, raises ValueError."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
     if spec.p > spec.q:
         raise ValueError("float evaluation supports only p <= q (entire case)")
     log_factor = 0.0
@@ -164,6 +167,7 @@ def kummer_integral(mu, sigma, u: float) -> float:
     error estimate does not see.  The result meets a relative error
     target of 1e-10, or ArithmeticError is raised: when the quadrature's
     estimate is above the target, or when the value overflows a float.
+    A non-finite u raises ValueError.
     """
     mu = as_rat(mu)
     sigma = as_rat(sigma)
@@ -171,6 +175,8 @@ def kummer_integral(mu, sigma, u: float) -> float:
         raise ValueError("integral representation requires sigma > mu > 0")
     if mu < 1:
         raise ValueError("mu < 1 puts an integrable singularity at w=0; unsupported")
+    if not math.isfinite(u):
+        raise ValueError(f"u must be finite, got {u!r}")
     with mp.workprec(64):
         mu_m, gap = (mp.mpf(r.numerator) / r.denominator for r in (mu, sigma - mu))
         power = 1 / gap

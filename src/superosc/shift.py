@@ -16,7 +16,6 @@ from functools import partial
 from .coeffs import (
     GridResult,
     fourier_sum,
-    fourier_sum_precision,
     fourier_terms,
     poly_at,
     sup_error_sweep,
@@ -84,17 +83,15 @@ def y_eval(n: int, a: float, x: float, g: EntireFnSpec, h: EntireFnSpec) -> comp
 
 def y_weights(n: int, a: float, h: EntireFnSpec) -> list:
     """The generalized Fourier weights E_j(n,a) = c_j(n,a) h(k_j),
-    exposed for inspection (their frequencies k_j stay in [-1, 1]).  They
-    are read from the fixed-point terms of fourier_sum, so each is within
-    2^-prec, prec = fourier_sum_precision(n, a) >= 80, of its exact value
-    before rounding to a float."""
+    exposed for inspection (their frequencies k_j stay in [-1, 1]).  Each
+    is the exact term N_j / D of fourier_sum, divided in int true
+    division, so it is the correctly rounded float (per part) of the
+    exact weight."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    prec = fourier_sum_precision(n, a)
-    j0, terms = fourier_terms(n, a, h.coeffs, prec)
-    scale = 1 << prec
+    j0, terms, den, _ = fourier_terms(n, a, h.coeffs)
     weights = [0j] * (n + 1)
-    weights[j0 : j0 + len(terms)] = [complex(re / scale, im / scale) for re, im in terms]
+    weights[j0 : j0 + len(terms)] = [complex(re / den, im / den) for re, im in terms]
     return weights
 
 

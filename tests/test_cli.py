@@ -362,6 +362,61 @@ class TestSupershift:
             cli.main(["supershift", "--kind", "y", "--g", "1,zz", "--a", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--a", "nan"], "a must be finite, got nan"),
+        (["--a", "inf"], "a must be finite, got inf"),
+        (["--a=-inf"], "a must be finite, got -inf"),
+        (["--a", "2", "--x-min", "nan"], "x_lo must be finite, got nan"),
+        (["--a", "2", "--x-max", "inf"], "x_hi must be finite, got inf"),
+    ])
+    @pytest.mark.parametrize("kind", ["dpf", "y", "z"])
+    def test_non_finite_input_is_usage_error(self, capsys, kind, flags, message):
+        code = cli.main(["supershift", "--kind", kind, *flags, "--n-list", "10", "--samples", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("kind", ["dpf", "y", "z"])
+    def test_overflowing_sum_is_exit_3(self, capsys, kind):
+        code = cli.main(["supershift", "--kind", kind, "--a", "1e300", "--n-list", "10", "--samples", "3"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ArithmeticError: Fourier sum at n=10, a=1e+300")
+        assert captured.err.endswith("does not fit in a float\n")
+
+
+class TestExitCodes:
+    """0 success, 1 verification mismatch, 2 usage or domain error
+    (ValueError), 3 any other failure, with a one-line message."""
+
+    @pytest.mark.parametrize("exc,name", [
+        (ArithmeticError("no float\nholds it"), "ArithmeticError"),
+        (OverflowError("too large"), "OverflowError"),
+        (RuntimeError("did not stabilize"), "RuntimeError"),
+        (KeyError("lost"), "KeyError"),
+    ])
+    def test_other_failures_are_exit_3(self, capsys, monkeypatch, exc, name):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "limit_profile", fail)
+        code = cli.main(["supershift", "--kind", "dpf", "--a", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_keyboard_interrupt_is_not_swallowed(self, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "limit_profile", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["supershift", "--kind", "dpf", "--a", "2"])
+
 
 def test_console_script_installed():
     result = subprocess.run(

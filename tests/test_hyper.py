@@ -83,6 +83,14 @@ class TestPfqEvalFloat:
         with pytest.raises(ValueError):
             pfq_eval_float(HyperSpec((), ()), 1.0, 0.0)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("spec", [HyperSpec((), ()), HyperSpec((1,), (2,))])
+    def test_rejects_non_finite_argument(self, spec, z):
+        # nan made the term cap NaN (RuntimeError) and inf overflowed
+        # (ArithmeticError); neither said what was wrong
+        with pytest.raises(ValueError, match="z must be finite"):
+            pfq_eval_float(spec, z, 1e-12)
+
     @pytest.mark.parametrize("z", [-20.0, -40.0, -60.0, -700.0, -800.0, -2000.0, -50000.0, -100000.0])
     @pytest.mark.parametrize("a,b", [(1, 2), (2, 3), (1, 3), (5, 6), (Rat(1, 2), Rat(3, 2))])
     def test_1f1_large_negative_argument(self, a, b, z):
@@ -153,6 +161,11 @@ class TestKummerIntegral:
     def test_overflow_raises(self):
         with pytest.raises(ArithmeticError, match="overflows"):
             kummer_integral(1, 2, 800.0)
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_argument(self, u):
+        with pytest.raises(ValueError, match="u must be finite"):
+            kummer_integral(1, 2, u)
 
     @pytest.mark.parametrize("value", [1.0, 1e6])
     def test_error_estimate_checked_against_value(self, monkeypatch, value):

@@ -2,11 +2,21 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import fourier_sum_per_term
-from superosc.coeffs import f_eval, f_eval_fourier, fourier_sum, fourier_sum_precision
+from superosc import coeffs
+from superosc.coeffs import (
+    _fixed_terms,
+    f_eval,
+    f_eval_fourier,
+    fourier_sum,
+    fourier_sum_precision,
+    fourier_terms,
+    sample_grid,
+)
 from superosc.shift import (
     EntireFnSpec,
     IDENTITY_FN,
@@ -251,3 +261,175 @@ class TestKernelCacheKey:
         assert_matches_oracle(second, n, a, x, (0, 0, -1), (0, 1))
         assert dpf_eval(n, a, x, 1) == first
         assert dpf_eval(n, a, x, 2) == second
+
+
+def exact_term(n, a, weight, j):
+    """c_j(n,a) W(k_j) as a pair of Fractions (re, im)."""
+    u, w = (1 + Fraction(a)) / 2, (1 - Fraction(a)) / 2
+    k = Fraction(n - 2 * j, n)
+    c = math.comb(n, j) * u ** (n - j) * w**j
+    parts = [(Fraction(complex(v).real), Fraction(complex(v).imag)) for v in weight]
+    return (c * sum(re * k**i for i, (re, _) in enumerate(parts)),
+            c * sum(im * k**i for i, (_, im) in enumerate(parts)))
+
+
+EXACT_N = (1, 2, 7, 31, 60)
+EXACT_A = (-2.5, -1.0, 0.4, 1.0, 3.0)
+EXACT_W = ((1,), (0.5, -1.0, 2.0), (0.25 - 1j, 1.5j, -0.75 + 0.5j))
+
+
+class TestExactTerms:
+    """fourier_terms holds every c_j W(k_j) exactly: a float a and float
+    weight coefficients are dyadic rationals."""
+
+    @pytest.mark.parametrize("n", EXACT_N)
+    def test_terms_equal_fraction_oracle(self, n):
+        for a in EXACT_A:
+            for weight in EXACT_W:
+                j0, terms, den, magnitude = fourier_terms(n, a, weight)
+                exact = [exact_term(n, a, weight, j) for j in range(n + 1)]
+                got = [(Fraction(0), Fraction(0))] * (n + 1)
+                got[j0 : j0 + len(terms)] = [(Fraction(re, den), Fraction(im, den)) for re, im in terms]
+                assert got == exact, (n, a, weight)
+                # only the vanishing end terms are dropped
+                assert terms[0] != (0, 0) and terms[-1] != (0, 0)
+                # magnitude bounds sum |N_j| from above, by less than a unit per term
+                floor_sum = sum(math.isqrt(re * re + im * im) for re, im in terms)
+                assert magnitude <= floor_sum + len(terms)
+                with mpmath.workprec(2 * magnitude.bit_length() + 64):
+                    assert mpmath.fsum(mpmath.sqrt(re * re + im * im) for re, im in terms) <= magnitude
+
+    def test_end_terms_dropped_at_a_plus_minus_one(self):
+        for a, j in ((1.0, 0), (-1.0, 20)):
+            j0, terms, den, _ = fourier_terms(20, a, (1,))
+            assert (j0, len(terms), Fraction(terms[0][0], den)) == (j, 1, 1)
+        assert fourier_terms(20, 0.4, (0,))[:2] == (0, ())
+
+    @pytest.mark.parametrize("n", EXACT_N)
+    def test_rounded_terms_within_half_unit(self, n):
+        for a in EXACT_A:
+            for weight in EXACT_W:
+                _, terms, den, _ = fourier_terms(n, a, weight)
+                for prec in (fourier_sum_precision(n, a, weight), 3):
+                    j0, fixed = _fixed_terms(n, a, weight, prec)
+                    assert (j0, len(fixed)) == (fourier_terms(n, a, weight)[0], len(terms))
+                    unit = Fraction(1, 2**prec)
+                    for (fr, fi), (re, im) in zip(fixed, terms):
+                        assert abs(fr * unit - Fraction(re, den)) <= unit / 2
+                        assert abs(fi * unit - Fraction(im, den)) <= unit / 2
+
+    def test_weights_are_correctly_rounded(self):
+        for n in (7, 60):
+            for a in EXACT_A:
+                for j, ej in enumerate(y_weights(n, a, H_QUADRATIC)):
+                    re, im = exact_term(n, a, H_QUADRATIC.coeffs, j)
+                    assert ej == complex(float(re), float(im))
+
+    def test_weights_that_do_not_fit_a_float_raise(self):
+        with pytest.raises(ArithmeticError):
+            y_weights(800, 3.0, ONE_FN)
+
+    def test_no_mpmath_binomial(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("mpmath.binomial called")
+
+        fourier_terms.cache_clear()
+        _fixed_terms.cache_clear()
+        monkeypatch.setattr(mpmath, "binomial", boom)
+        for name, (evaluate, weight, phase) in KERNEL_CASES.items():
+            assert_matches_oracle(evaluate(40, 1.7, 0.9), 40, 1.7, 0.9, weight, phase, name)
+        assert y_weights(12, 2.0, H_AFFINE)[3] != 0
+
+
+#: the supershift-sweep benchmark's eight sums: (W, a, n, phase degree)
+#: -> working bits
+SWEEP_PRECISION = {
+    ((1, 1), 1.5, 50, 2): 121,
+    ((1, 1), 1.5, 100, 2): 153,
+    ((1, 1), 1.5, 200, 2): 213,
+    ((0, 1j), 2.0, 100, 1): 186,
+    ((0, 1j), 2.0, 200, 1): 287,
+    ((0, 1j), 2.0, 400, 1): 488,
+    ((1,), 1.2, 100, 2): 120,
+    ((1,), 1.2, 200, 2): 148,
+}
+
+
+class TestPrecisionRule:
+    """prec = 80 + max(0, ceil(log2 sum |T_j|)) + d log2(n+1)."""
+
+    @pytest.mark.parametrize("key", sorted(SWEEP_PRECISION, key=str))
+    def test_pinned_on_sweep_calls(self, key, monkeypatch):
+        weight, a, n, degree = key
+        # the rule from the exact terms, summed as Fractions
+        total = sum(_abs_fraction(*exact_term(n, a, weight, j)) for j in range(n + 1))
+        log2_sum = 0
+        while Fraction(2) ** log2_sum < total:
+            log2_sum += 1
+        expected = 80 + log2_sum + int(degree * math.log2(n + 1))
+        assert expected == SWEEP_PRECISION[key]
+        # the kernel reads it through fourier_sum_precision
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(fourier_sum_precision(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(coeffs, "fourier_sum_precision", recording)
+        fourier_sum(n, a, 0.3, weight, (0,) * degree + (1,))
+        assert seen == [expected]
+
+    def test_counts_the_size_of_w(self):
+        # the former rule, 80 + n log2(1 + |a|), ignored |W|
+        small = fourier_sum_precision(50, 1.5, (1,))
+        assert fourier_sum_precision(50, 1.5, (2.0**40,)) == small + 40
+        assert fourier_sum_precision(50, 0.5, (1,)) == 80
+        assert fourier_sum_precision(50, 0.5, (0,)) == 80
+
+
+def _abs_fraction(re, im):
+    """|re + i im| for the sweep's weights, which are real or imaginary."""
+    assert re == 0 or im == 0
+    return abs(re or im)
+
+
+#: weights with |W| up to 1e6 and phases of degree 1 (Horner) and 3
+#: (forward differences)
+LARGE_WEIGHTS = ((1e6,), (0, -2.5e5j, 7.5e5 + 3e5j), (4e5, 0, 0, -1e6j))
+LARGE_PHASES = ((0, 1), (0.25, -1.5), (0.3, -1.0, 0.5, 2.0))
+
+
+class TestLargeWeights:
+    @pytest.mark.parametrize("a", [-2.5, 2.0])
+    def test_against_oracle_at_n_400(self, a):
+        for weight in LARGE_WEIGHTS:
+            for phase in LARGE_PHASES:
+                x = 0.37 if len(phase) == 2 else -6.0
+                value = fourier_sum(400, a, x, weight, phase)
+                assert_matches_oracle(value, 400, a, x, weight, phase)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_fourier_sum_names_the_argument(self, bad):
+        with pytest.raises(ValueError, match="a must be finite"):
+            fourier_sum(10, bad, 0.5, (1,), (0, 1))
+        with pytest.raises(ValueError, match="x must be finite"):
+            fourier_sum(10, 1.5, bad, (1,), (0, 1))
+        with pytest.raises(ValueError, match="weight coefficient must be finite"):
+            fourier_sum(10, 1.5, 0.5, (1, complex(0, bad)), (0, 1))
+        with pytest.raises(ValueError, match="phase coefficient must be finite"):
+            fourier_sum(10, 1.5, 0.5, (1,), (0, bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_sample_grid_names_the_bound(self, bad):
+        with pytest.raises(ValueError, match="x_lo must be finite"):
+            sample_grid(bad, 1.0, 3)
+        with pytest.raises(ValueError, match="x_lo must be finite"):
+            sample_grid(bad, 1.0, 1)
+        with pytest.raises(ValueError, match="x_hi must be finite"):
+            sample_grid(0.0, bad, 3)
+
+    def test_sum_too_large_for_a_float(self):
+        with pytest.raises(ArithmeticError, match="does not fit in a float"):
+            fourier_sum(10, 1e300, -0.5, (1,), (0, 1))
