@@ -70,11 +70,20 @@ def g_series(k: int, order: int) -> ExpSeries:
 
 def f_eval(n: int, a: float, x: float) -> complex:
     """(cos(x/n) + i a sin(x/n))^n in product form; well conditioned for
-    any n."""
+    any n.  A non-finite a or x raises ValueError, and a value that does
+    not fit in a float raises ArithmeticError."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _require_finite("a", a)
+    _require_finite("x", x)
     theta = x / n
-    return complex(math.cos(theta), a * math.sin(theta)) ** n
+    try:
+        value = complex(math.cos(theta), a * math.sin(theta)) ** n
+        if cmath.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise ArithmeticError(f"F_n at n={n}, a={a!r}, x={x!r} does not fit in a float")
 
 
 def _require_finite(name: str, value) -> None:
@@ -160,10 +169,23 @@ def fourier_sum_precision(n: int, a: float, weight: tuple = (1,), extra_log2: fl
 
 
 @lru_cache(maxsize=64)
-def _fixed_terms(n: int, a: float, weight: tuple, prec: int) -> tuple:
+def _fixed_terms(n: int, a: float, weight: tuple, prec: int, fold: bool = False) -> tuple:
     """(j0, terms): fourier_terms rounded once, each part to the nearest
-    integer in units of 2^-prec."""
+    integer in units of 2^-prec.  With fold, term j is the mirror sum
+    T_j + T_{n-j} for j < n/2, and T_{n/2} alone for even n, summed
+    exactly and then rounded: floor(n/2) + 1 terms, vanishing end terms
+    dropped."""
     j0, terms, den, _ = fourier_terms(n, a, weight)
+    if fold and terms:
+        full = [(0, 0)] * (n + 1)
+        full[j0 : j0 + len(terms)] = terms
+        folded = [(re + mr, im + mi) for (re, im), (mr, mi) in zip(full[: (n + 1) // 2], full[::-1])]
+        if n % 2 == 0:
+            folded.append(full[n // 2])
+        nonzero = [j for j, term in enumerate(folded) if term != (0, 0)]
+        if not nonzero:
+            return 0, ()
+        j0, terms = nonzero[0], folded[nonzero[0] : nonzero[-1] + 1]
     twos = (den & -den).bit_length() - 1
     odd = den >> twos
     shift = prec + 1 - twos
@@ -200,6 +222,13 @@ def fourier_sum(n: int, a: float, x: float, weight: tuple, phase: tuple) -> comp
     runs on Gaussian integers in those units: products with the terms are
     exact and each step rounds once, by its rescaling shift.
 
+    Mirror fold: k_{n-j} = -k_j, so when Phi has no nonzero odd-power
+    coefficient, terms j and n - j share one phase factor.  The loop then
+    runs over the floor(n/2) + 1 exact sums T_j + T_{n-j} (T_{n/2} alone
+    for even n), each rounded once to within half a unit of 2^-prec.
+    Since sum_j |T_j + T_{n-j}| <= sum_j |T_j|, the error bound below
+    holds with the same precision.
+
     P(j) = Phi(k_j) x is a polynomial of degree d in j.  For d <= 1 the sum
     is e^{i P(j0)} sum_j T_j z^(j-j0), z = e^{i (P(j0+1) - P(j0))}, by
     Horner: one complex multiply (three integer products) per term.  For
@@ -225,7 +254,7 @@ def fourier_sum(n: int, a: float, x: float, weight: tuple, phase: tuple) -> comp
     while degree > 0 and phase[degree] == 0:
         degree -= 1
     prec = fourier_sum_precision(n, a, weight, degree * math.log2(n + 1))
-    j0, terms = _fixed_terms(n, a, weight, prec)
+    j0, terms = _fixed_terms(n, a, weight, prec, not any(phase[1::2]))
     if not terms:
         return 0j
     order = min(degree, len(terms) - 1)

@@ -9,12 +9,14 @@ coeffs.fourier_sum."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
 
 from .coeffs import (
     GridResult,
+    _require_finite,
     fourier_sum,
     fourier_terms,
     poly_at,
@@ -97,19 +99,38 @@ def y_weights(n: int, a: float, h: EntireFnSpec) -> list:
 
 def _sum_and_limit(kind: str, a: float, p: int, m: int, g: EntireFnSpec, h: EntireFnSpec):
     """(evaluate(n, x), limit(x)) of the chosen sum: the sum itself and
-    amp e^{i freq x}, its limit on compact sets."""
+    amp e^{i freq x}, its limit on compact sets.  A non-finite input
+    raises ValueError, and an amp or freq that does not fit in a float
+    raises ArithmeticError, both before any sum is evaluated."""
+    _require_finite("a", a)
     if kind == "dpf":
         evaluate = lambda n, x: dpf_eval(n, a, x, p)
-        amp, freq = (1j * a) ** p, a
+        amp, freq, where = lambda: (1j * a) ** p, lambda: a, f"a={a!r}, p={p}"
     elif kind == "z":
         evaluate = lambda n, x: z_eval(n, a, x, m, p)
-        amp, freq = (1j * a) ** (m * p), a**m
+        amp, freq, where = lambda: (1j * a) ** (m * p), lambda: a**m, f"a={a!r}, m={m}, p={p}"
     elif kind == "y":
+        for c in h.coeffs:
+            _require_finite("weight coefficient", c)
+        for c in g.coeffs:
+            _require_finite("phase coefficient", c)
         evaluate = lambda n, x: y_eval(n, a, x, g, h)
-        amp, freq = complex(h(a)), g(a)
+        amp, freq, where = lambda: complex(h(a)), lambda: g(a), f"a={a!r}"
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    amp, freq = _limit_part("amplitude", amp, where), _limit_part("frequency", freq, where)
     return evaluate, lambda x: amp * complex(math.cos(freq * x), math.sin(freq * x))
+
+
+def _limit_part(name: str, compute, where: str):
+    """compute(), or ArithmeticError when its value does not fit in a float."""
+    try:
+        value = compute()
+        if cmath.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise ArithmeticError(f"limit {name} does not fit in a float at {where}")
 
 
 def limit_profile(

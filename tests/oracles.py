@@ -9,7 +9,7 @@ import math
 
 import mpmath as mp
 
-from superosc import genfun, hyper
+from superosc import coeffs, genfun, hyper
 from superosc.combinat import binomial, stirling2
 from superosc.exact import ExpSeries, Poly, Rat, series_exp_linear, series_shift_tk
 from superosc.genfun import GenFunParams
@@ -63,6 +63,51 @@ def fourier_sum_per_term(n, a, x, weight, phase):
             theta = poly(phase, k) * x
             total += math.comb(n, j) * u ** (n - j) * w**j * poly(weight, k) * mp.mpc(mp.cos(theta), mp.sin(theta))
         return complex(total)
+
+
+def fourier_sum_unfolded(n, a, x, weight, phase):
+    """coeffs.fourier_sum as it was before the mirror fold: all n + 1
+    rounded terms for every phase, Horner for degree <= 1 and the forward
+    difference recurrence otherwise."""
+    weight = tuple(weight)
+    degree = max(len(phase) - 1, 0)
+    while degree > 0 and phase[degree] == 0:
+        degree -= 1
+    prec = coeffs.fourier_sum_precision(n, a, weight, degree * math.log2(n + 1))
+    j0, terms = coeffs._fixed_terms(n, a, weight, prec)
+    if not terms:
+        return 0j
+    order = min(degree, len(terms) - 1)
+
+    def fixed(z):
+        return int(mp.ldexp(mp.re(z), prec)), int(mp.ldexp(mp.im(z), prec))
+
+    with mp.workprec(prec):
+        diffs = [coeffs.poly_at(phase, mp.mpf(n - 2 * j) / n) * x for j in range(j0, j0 + order + 1)]
+        for level in range(1, order + 1):
+            for i in range(order, level - 1, -1):
+                diffs[i] -= diffs[i - 1]
+        rot = [fixed(mp.mpc(mp.cos(d), mp.sin(d))) for d in diffs]
+    if order <= 1:
+        zr, zi = rot[1] if order else (1 << prec, 0)
+        z_minus, z_plus = zi - zr, zr + zi
+        sr = si = 0
+        for tr, ti in reversed(terms):
+            k = zr * (sr + si)
+            sr, si = ((k - si * z_plus) >> prec) + tr, ((k + sr * z_minus) >> prec) + ti
+        cr, ci = rot[0]
+        re, im = sr * cr - si * ci, sr * ci + si * cr
+    else:
+        re = im = 0
+        for tr, ti in terms:
+            cr, ci = rot[0]
+            re += tr * cr - ti * ci
+            im += tr * ci + ti * cr
+            for i in range(order):
+                (ar, ai), (br, bi) = rot[i], rot[i + 1]
+                rot[i] = ((ar * br - ai * bi) >> prec, (ar * bi + ai * br) >> prec)
+    scale = 1 << 2 * prec
+    return complex(re / scale, im / scale)
 
 
 def miller_paris_rhs_by_series_algebra(a, c, variant, order, zscale):

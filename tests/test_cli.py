@@ -171,6 +171,16 @@ class TestEval:
         assert code == 2
 
 
+    @pytest.mark.parametrize("a,code,message", [
+        ("nan", 2, "error: a must be finite, got nan\n"),
+        ("1e300", 3, "error: ArithmeticError: F_n at n=5, a=1e+300, x=-1.0 does not fit in a float\n"),
+    ])
+    def test_non_finite_or_overflowing_a(self, capsys, a, code, message):
+        assert cli.main(["eval", "--n", "5", "--a", a, "--samples", "2"]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+
+
 class TestVerify:
     def test_recurrence_suite_passes(self, capsys):
         code, out = run_cli(capsys, ["verify", "--suite", "recurrence", "--max-n", "6"])
@@ -385,6 +395,29 @@ class TestSupershift:
         assert captured.out == ""
         assert captured.err.startswith("error: ArithmeticError: Fourier sum at n=10, a=1e+300")
         assert captured.err.endswith("does not fit in a float\n")
+
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--kind", "dpf", "--p", "3"], "limit amplitude does not fit in a float at a=1e+300, p=3"),
+        (["--kind", "z", "--m", "2"], "limit frequency does not fit in a float at a=1e+300, m=2, p=0"),
+        (["--kind", "z", "--m", "2", "--p", "1"], "limit amplitude does not fit in a float at a=1e+300, m=2, p=1"),
+        (["--kind", "y", "--g", "0,0,1"], "limit frequency does not fit in a float at a=1e+300"),
+    ])
+    def test_overflowing_limit_is_exit_3(self, capsys, flags, message):
+        code = cli.main(["supershift", *flags, "--a", "1e300", "--n-list", "10", "--samples", "3"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert (captured.out, captured.err) == ("", f"error: ArithmeticError: {message}\n")
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--g", "0,nan"], "phase coefficient must be finite, got nan"),
+        (["--h", "1,inf"], "weight coefficient must be finite, got inf"),
+    ])
+    def test_non_finite_coefficient_is_usage_error(self, capsys, flags, message):
+        code = cli.main(["supershift", "--kind", "y", *flags, "--a", "2", "--n-list", "10", "--samples", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 class TestExitCodes:

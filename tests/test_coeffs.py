@@ -111,6 +111,19 @@ class TestSequenceEvaluation:
             s = f_eval_fourier(n, a, x)
             assert abs(p - s) <= 1e-10 * abs(p), (n, a, x)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_names_the_argument(self, bad):
+        with pytest.raises(ValueError, match="a must be finite"):
+            f_eval(5, bad, 0.5)
+        with pytest.raises(ValueError, match="x must be finite"):
+            f_eval(5, 2.0, bad)
+
+    @pytest.mark.parametrize("n", [5, 500])
+    def test_value_too_large_for_a_float(self, n):
+        # complex ** n overflows to nan for small n and raises for large n
+        with pytest.raises(ArithmeticError, match=f"F_n at n={n}, a=1e\\+300, x=-1.0 does not fit in a float"):
+            f_eval(n, 1e300, -1.0)
+
     def test_frequencies_bounded_by_one(self):
         for n in (1, 7, 100):
             for k in range(n + 1):

@@ -6,8 +6,8 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import fourier_sum_per_term
-from superosc import coeffs
+from oracles import fourier_sum_per_term, fourier_sum_unfolded
+from superosc import coeffs, shift
 from superosc.coeffs import (
     _fixed_terms,
     f_eval,
@@ -252,6 +252,17 @@ class TestKernelCacheKey:
         assert y_eval(n, a, x, G_SQUARE, H_AFFINE) == affine
         assert y_eval(n, a, x, G_SQUARE, H_QUADRATIC) == quadratic
 
+    def test_phase_changes_the_sum(self):
+        # same (n, a, W): even (folded) and mixed phases share the exact
+        # terms but not the rounded ones
+        n, a, x, weight = 30, 1.8, 0.6, H_AFFINE.coeffs
+        phases = (G_SQUARE.coeffs, (0.0, 0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0))
+        sums = [fourier_sum(n, a, x, weight, phase) for phase in phases]
+        assert len(set(sums)) == len(sums)
+        for phase, value in zip(phases, sums):
+            assert_matches_oracle(value, n, a, x, weight, phase)
+            assert fourier_sum(n, a, x, weight, phase) == value
+
     def test_dpf_order_changes_the_sum(self):
         n, a, x = 30, 1.8, 0.6
         first = dpf_eval(n, a, x, 1)
@@ -261,6 +272,61 @@ class TestKernelCacheKey:
         assert_matches_oracle(second, n, a, x, (0, 0, -1), (0, 1))
         assert dpf_eval(n, a, x, 1) == first
         assert dpf_eval(n, a, x, 2) == second
+
+
+#: the mirror-fold stress grid: phases even (degree 0, 2 and 4, with a
+#: constant term), odd and mixed, and real and complex weights
+FOLD_N = (1, 2, 3, 5, 49, 50, 101, 400)
+FOLD_A = (-2.5, -1.0, 0.4, 1.0, 3.0)
+FOLD_X = (-6.0, -0.7, 0.0, 1.9, 6.0)
+EVEN_PHASES = ((0.75,), (0.5, 0, 1.0), (-0.3, 0, 1.25, 0, -0.5))
+FOLD_PHASES = EVEN_PHASES + ((0, 1), (0, -1.5, 0, 0.75), (0.3, -1.0, 0.5, 2.0), (0.2, 0.5, 1.0))
+FOLD_W = ((1,), (0.5 - 1j, 0.25j, 1.5 + 0.5j))
+
+
+class TestMirrorFold:
+    """An even phase sums the mirror terms T_j + T_{n-j} once, without
+    moving a bit of the result."""
+
+    @pytest.mark.parametrize("n", FOLD_N)
+    def test_bit_identical_to_unfolded_kernel(self, n):
+        for a in FOLD_A:
+            for phase in FOLD_PHASES:
+                for weight in FOLD_W:
+                    for x in FOLD_X:
+                        expected = fourier_sum_unfolded(n, a, x, weight, phase)
+                        assert fourier_sum(n, a, x, weight, phase) == expected, (n, a, x, weight, phase)
+
+    @pytest.mark.parametrize("n", [1, 2, 49, 50])
+    def test_folded_terms(self, n):
+        for a in FOLD_A:
+            for weight in FOLD_W:
+                prec = fourier_sum_precision(n, a, weight)
+                j0, fixed = _fixed_terms(n, a, weight, prec, True)
+                exact = [exact_term(n, a, weight, j) for j in range(n + 1)]
+                mirror = [(re + mr, im + mi) for (re, im), (mr, mi) in zip(exact[: (n + 1) // 2], exact[::-1])]
+                mirror += exact[n // 2 : n // 2 + 1] if n % 2 == 0 else []
+                if a in (-1.0, 1.0):
+                    # one nonzero term, T_0 or T_n, folded onto j = 0
+                    assert (j0, len(fixed)) == (0, 1)
+                else:
+                    assert (j0, len(fixed)) == (0, n // 2 + 1)
+                unit = Fraction(1, 2**prec)
+                for (fr, fi), (re, im) in zip(fixed, mirror[j0:]):
+                    assert abs(fr * unit - re) <= unit / 2
+                    assert abs(fi * unit - im) <= unit / 2
+
+    def test_fold_is_chosen_by_the_phase(self, monkeypatch):
+        seen = []
+
+        def recording(n, a, weight, prec, fold=False):
+            seen.append(fold)
+            return _fixed_terms(n, a, weight, prec, fold)
+
+        monkeypatch.setattr(coeffs, "_fixed_terms", recording)
+        for phase in FOLD_PHASES + ((0.5, 0.0, 1.0, -0.0), ()):
+            fourier_sum(20, 1.5, 0.8, (1,), phase)
+        assert seen == [True] * 3 + [False] * 4 + [True, True]
 
 
 def exact_term(n, a, weight, j):
@@ -429,6 +495,17 @@ class TestNonFinite:
             sample_grid(bad, 1.0, 1)
         with pytest.raises(ValueError, match="x_hi must be finite"):
             sample_grid(0.0, bad, 3)
+
+    @pytest.mark.parametrize("kind,p,m", [("dpf", 3, 1), ("z", 0, 2), ("z", 1, 2)])
+    def test_limit_too_large_raises_before_any_sum(self, kind, p, m, monkeypatch):
+        def no_sum(*args):
+            raise AssertionError("a sum was evaluated")
+
+        monkeypatch.setattr(shift, "fourier_sum", no_sum)
+        with pytest.raises(ArithmeticError, match=f"^limit (amplitude|frequency) does not fit in a float at a=1e\\+300, "):
+            limit_profile(kind, 1e300, [10], -1.0, 1.0, 3, p=p, m=m)
+        with pytest.raises(ArithmeticError, match="^limit frequency does not fit in a float at a=1e\\+300$"):
+            limit_profile("y", 1e300, [10], -1.0, 1.0, 3, g=G_SQUARE)
 
     def test_sum_too_large_for_a_float(self):
         with pytest.raises(ArithmeticError, match="does not fit in a float"):
