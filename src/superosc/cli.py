@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from fractions import Fraction
 
 from .classical import bernstein, hermite
-from .coeffs import c_coeff, f_eval, sample_grid
+from .coeffs import c_coeff, f_eval, limit_phase, sample_grid
 from .combinat import stirling2
 from .exact import DEFAULT_ORDER, Rat, as_rat
 from .genfun import (
@@ -101,7 +100,7 @@ def cmd_eval(args) -> int:
     rows = []
     for x in sample_grid(args.x_min, args.x_max, args.samples):
         value = f_eval(args.n, args.a, x)
-        limit = complex(math.cos(args.a * x), math.sin(args.a * x))
+        limit = limit_phase(args.a, x, f"a={args.a!r}")
         rows.append(
             (
                 _fmt(x),

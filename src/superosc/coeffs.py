@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath as mp
+from mpmath.libmp import from_man_exp, mpf_cos_sin
 
 from .combinat import binomial
 from .exact import ExpSeries, Poly, Rat, series_exp_linear, series_shift_tk
@@ -84,6 +84,15 @@ def f_eval(n: int, a: float, x: float) -> complex:
     except OverflowError:
         pass
     raise ArithmeticError(f"F_n at n={n}, a={a!r}, x={x!r} does not fit in a float")
+
+
+def limit_phase(freq: float, x: float, where: str) -> complex:
+    """e^{i freq x}, the phase of a limit; ArithmeticError naming where
+    (the limit's parameters) and x when freq x does not fit in a float."""
+    theta = freq * x
+    if not math.isfinite(theta):
+        raise ArithmeticError(f"limit phase does not fit in a float at {where}, x={x!r}")
+    return complex(math.cos(theta), math.sin(theta))
 
 
 def _require_finite(name: str, value) -> None:
@@ -206,9 +215,31 @@ def poly_at(coeffs, k):
     return acc
 
 
-def _fixed(z, bits: int) -> tuple:
-    """z as a Gaussian integer (re, im) in units of 2^-bits."""
-    return int(mp.ldexp(mp.re(z), bits)), int(mp.ldexp(mp.im(z), bits))
+#: guard bits below 2^-prec kept when each phase difference is rounded
+PHASE_GUARD_BITS = 16
+
+
+@lru_cache(maxsize=64)
+def _phase_differences(n: int, phase: tuple, j0: int, order: int) -> tuple:
+    """(numerators, den): the forward differences Delta^i Phi(k_j) at
+    j = j0, i = 0..order, k_j = 1 - 2j/n, exactly, as numerators[i] / den.
+    Float coefficients of Phi are dyadic rationals."""
+    coeffs = [Fraction(c) for c in phase]
+    diffs = [poly_at(coeffs, Fraction(n - 2 * j, n)) for j in range(j0, j0 + order + 1)]
+    for level in range(1, order + 1):
+        for i in range(order, level - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    den = math.lcm(*(d.denominator for d in diffs))
+    return tuple(d.numerator * (den // d.denominator) for d in diffs), den
+
+
+def _units(value, prec: int) -> int:
+    """A raw mpf (sign, man, exp, bc) as an integer in units of 2^-prec,
+    truncated toward zero."""
+    sign, man, exp, _ = value
+    shift = exp + prec
+    man = int(man) << shift if shift >= 0 else int(man) >> -shift
+    return -man if sign else man
 
 
 def fourier_sum(n: int, a: float, x: float, weight: tuple, phase: tuple) -> complex:
@@ -229,26 +260,34 @@ def fourier_sum(n: int, a: float, x: float, weight: tuple, phase: tuple) -> comp
     Since sum_j |T_j + T_{n-j}| <= sum_j |T_j|, the error bound below
     holds with the same precision.
 
-    P(j) = Phi(k_j) x is a polynomial of degree d in j.  For d <= 1 the sum
-    is e^{i P(j0)} sum_j T_j z^(j-j0), z = e^{i (P(j0+1) - P(j0))}, by
-    Horner: one complex multiply (three integer products) per term.  For
-    d >= 2, with D_i the i-th forward difference of P, the phase factors
-    obey e^{i D_i(j+1)} = e^{i D_i(j)} e^{i D_{i+1}(j)}: d+1 cos/sin pairs
-    per x, then d complex multiplies per term, and the rounding of that
-    recurrence grows like j^d.
+    P(j) = Phi(k_j) x is a polynomial of degree d in j.  Its forward
+    differences D_i(j0), i = 0..d, are Delta^i Phi(k_j) at j0 times x: the
+    first factor is built exactly as a rational once per (n, Phi, j0, d)
+    (_phase_differences), and a float x is dyadic, so each D_i(j0) is
+    exact.  It is rounded to the nearest unit of 2^-(prec + guard), an
+    absolute error that does not grow with |x|, and one mpf_cos_sin call
+    at prec bits gives e^{i D_i(j0)}, read straight into units of 2^-prec
+    (truncated toward zero).  For d <= 1 the sum is
+    e^{i P(j0)} sum_j T_j z^(j-j0), z = e^{i D_1}, by Horner: one complex
+    multiply (three integer products) per term.  For d >= 2 the phase
+    factors obey e^{i D_i(j+1)} = e^{i D_i(j)} e^{i D_{i+1}(j)}: d + 1
+    cos_sin calls per x, then d complex multiplies per term, and the
+    rounding of that recurrence grows like j^d.
 
     Error: the absolute error is below a small multiple of
-    (n+1)^max(d,1) (1 + sum_j |T_j|) 2^-prec.  The precision adds
-    ceil(log2 sum_j |T_j|) and d log2(n+1) bits to 80, so that is a small
-    multiple of (n+1) 2^-80 for any a, n and W.  A result that does not
-    fit in a float raises ArithmeticError; a non-finite a, x or
-    coefficient raises ValueError.
+    (n+1)^max(d,1) (1 + sum_j |T_j|) 2^-prec, for any x.  The precision
+    adds ceil(log2 sum_j |T_j|) and d log2(n+1) bits to 80, so that is a
+    small multiple of (n+1) 2^-80 for any a, n, W and x.  A result that
+    does not fit in a float raises ArithmeticError; a non-finite a, x or
+    coefficient, or a complex phase coefficient, raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _require_finite("x", x)
     for c in phase:
         _require_finite("phase coefficient", c)
+        if isinstance(c, complex):
+            raise ValueError(f"phase coefficient must be real, got {c!r}")
     weight = tuple(weight)
     degree = max(len(phase) - 1, 0)
     while degree > 0 and phase[degree] == 0:
@@ -258,12 +297,16 @@ def fourier_sum(n: int, a: float, x: float, weight: tuple, phase: tuple) -> comp
     if not terms:
         return 0j
     order = min(degree, len(terms) - 1)
-    with mp.workprec(prec):
-        diffs = [poly_at(phase, mp.mpf(n - 2 * j) / n) * x for j in range(j0, j0 + order + 1)]
-        for level in range(1, order + 1):
-            for i in range(order, level - 1, -1):
-                diffs[i] -= diffs[i - 1]
-        rot = [_fixed(mp.mpc(mp.cos(d), mp.sin(d)), prec) for d in diffs]
+    nums, den = _phase_differences(n, tuple(phase), j0, order)
+    # D_i(j0) = Delta^i Phi(k_j0) x exactly, rounded to the nearest unit of 2^-bits
+    xn, xd = x.as_integer_ratio()
+    bits = prec + PHASE_GUARD_BITS
+    den *= xd
+    rot = []
+    for num in nums:
+        theta = from_man_exp((((num * xn) << (bits + 1)) // den + 1) >> 1, -bits)
+        cos, sin = mpf_cos_sin(theta, prec, "n")
+        rot.append((_units(cos, prec), _units(sin, prec)))
     if order <= 1:
         zr, zi = rot[1] if order else (1 << prec, 0)
         z_minus, z_plus = zi - zr, zr + zi
@@ -345,5 +388,5 @@ def convergence_profile(
     """Sup over the sample grid of |F_n(x,a) - e^{iax}| for each n."""
     return sup_error_sweep(n_list, x_lo, x_hi, samples, lambda: (
         lambda n, x: f_eval(n, a, x),
-        lambda x: complex(math.cos(a * x), math.sin(a * x)),
+        lambda x: limit_phase(a, x, f"a={a!r}"),
     ))

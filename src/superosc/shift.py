@@ -10,7 +10,6 @@ coeffs.fourier_sum."""
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -19,6 +18,7 @@ from .coeffs import (
     _require_finite,
     fourier_sum,
     fourier_terms,
+    limit_phase,
     poly_at,
     sup_error_sweep,
 )
@@ -119,7 +119,7 @@ def _sum_and_limit(kind: str, a: float, p: int, m: int, g: EntireFnSpec, h: Enti
     else:
         raise ValueError(f"unknown kind {kind!r}")
     amp, freq = _limit_part("amplitude", amp, where), _limit_part("frequency", freq, where)
-    return evaluate, lambda x: amp * complex(math.cos(freq * x), math.sin(freq * x))
+    return evaluate, lambda x: amp * limit_phase(freq, x, where)
 
 
 def _limit_part(name: str, compute, where: str):

@@ -45,16 +45,16 @@ def count_partitions_into_blocks(c, d):
     return count
 
 
-def fourier_sum_per_term(n, a, x, weight, phase):
+def fourier_sum_per_term(n, a, x, weight, phase, bits=None):
     """sum_j c_j(n,a) W(k_j) e^{i Phi(k_j) x}, k_j = 1 - 2j/n, term by term:
     every weight rebuilt from math.comb and one cos/sin pair per term, at
-    128 bits above the n log2(1+|a|) cancellation.  W and Phi are ascending
-    coefficient sequences."""
+    128 bits above the n log2(1+|a|) cancellation, or at the given bits.
+    W and Phi are ascending coefficient sequences."""
 
     def poly(coeffs, k):
         return sum((mp.mpmathify(c) * k**i for i, c in enumerate(coeffs)), mp.mpf(0))
 
-    with mp.workprec(128 + math.ceil(n * math.log2(1 + abs(a)))):
+    with mp.workprec(bits or 128 + math.ceil(n * math.log2(1 + abs(a)))):
         u = (1 + mp.mpf(a)) / 2
         w = (1 - mp.mpf(a)) / 2
         total = mp.mpc(0)
@@ -66,9 +66,12 @@ def fourier_sum_per_term(n, a, x, weight, phase):
 
 
 def fourier_sum_unfolded(n, a, x, weight, phase):
-    """coeffs.fourier_sum as it was before the mirror fold: all n + 1
-    rounded terms for every phase, Horner for degree <= 1 and the forward
-    difference recurrence otherwise."""
+    """coeffs.fourier_sum as it was before the mirror fold and the exact
+    phase differences, the slow path both replace: all n + 1 rounded terms
+    for every phase, the phase values Phi(k_j) x and their differences
+    computed in mpmath at the working precision (each operation rounded
+    relative to it), one mp.cos and one mp.sin per difference, Horner for
+    degree <= 1 and the forward difference recurrence otherwise."""
     weight = tuple(weight)
     degree = max(len(phase) - 1, 0)
     while degree > 0 and phase[degree] == 0:

@@ -180,6 +180,14 @@ class TestEval:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", message)
 
+    def test_overflowing_limit_phase_is_exit_3(self, capsys):
+        # F_1 fits in a float, but a x does not
+        argv = ["eval", "--n", "1", "--a", "1e300", "--x-min", "1e10", "--x-max", "2e10", "--samples", "2"]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        message = "error: ArithmeticError: limit phase does not fit in a float at a=1e+300, x=10000000000.0\n"
+        assert (captured.out, captured.err) == ("", message)
+
 
 class TestVerify:
     def test_recurrence_suite_passes(self, capsys):
@@ -408,6 +416,20 @@ class TestSupershift:
         captured = capsys.readouterr()
         assert code == 3
         assert (captured.out, captured.err) == ("", f"error: ArithmeticError: {message}\n")
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--kind", "dpf"], "a=1e+300, p=0"),
+        (["--kind", "z", "--m", "1"], "a=1e+300, m=1, p=0"),
+        (["--kind", "y", "--g", "0,1"], "a=1e+300"),
+    ])
+    def test_overflowing_limit_phase_is_exit_3(self, capsys, flags, message):
+        # the n = 1 sum fits in a float, but freq x does not
+        code = cli.main(["supershift", *flags, "--a", "1e300", "--n-list", "1",
+                         "--x-min", "1e10", "--x-max", "2e10", "--samples", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        expected = f"error: ArithmeticError: limit phase does not fit in a float at {message}, x=10000000000.0\n"
+        assert (captured.out, captured.err) == ("", expected)
 
     @pytest.mark.parametrize("flags,message", [
         (["--g", "0,nan"], "phase coefficient must be finite, got nan"),

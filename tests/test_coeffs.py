@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from superosc.coeffs import (
     f_eval,
     f_eval_fourier,
     g_series,
+    limit_phase,
     sample_grid,
 )
 from superosc.exact import Poly, Rat
@@ -167,3 +169,21 @@ class TestConvergenceProfile:
             result.sup_error[50],
         )
         assert expected <= result.sup_error[50] + 1e-18
+
+    def test_overflowing_limit_phase_raises(self):
+        # F_1 at a = 1e300 fits in a float, but a x does not
+        with pytest.raises(ArithmeticError, match="^limit phase does not fit in a float at a=1e\\+300, x=10000000000.0$"):
+            convergence_profile([1], 1e300, 1e10, 2e10, 2)
+
+
+class TestLimitPhase:
+    def test_value(self):
+        for freq, x in ((2.0, 0.25), (-1.5, 3.0), (1e300, 1e-300), (1e10, 1e290)):
+            theta = freq * x
+            assert limit_phase(freq, x, "a") == complex(math.cos(theta), math.sin(theta))
+
+    @pytest.mark.parametrize("freq,x", [(1e300, 1e10), (-1e300, 1e10), (1e200, -1e200)])
+    def test_phase_too_large_for_a_float(self, freq, x):
+        message = f"limit phase does not fit in a float at where, x={x!r}"
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+            limit_phase(freq, x, "where")

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -329,6 +330,99 @@ class TestMirrorFold:
         assert seen == [True] * 3 + [False] * 4 + [True, True]
 
 
+#: the supershift-sweep benchmark's eight sums, as the CLI makes them:
+#: (evaluate(n, a, x), W, a, n, Phi)
+SWEEP_SUMS = tuple(
+    (evaluate, weight, a, n, phase)
+    for evaluate, weight, a, ns, phase in (
+        (lambda n, a, x: y_eval(n, a, x, EntireFnSpec((0, 0, 1)), EntireFnSpec((1, 1))),
+         (1.0, 1.0), 1.5, (50, 100, 200), (0.0, 0.0, 1.0)),
+        (lambda n, a, x: dpf_eval(n, a, x, 1), (0, 1j), 2.0, (100, 200, 400), (0, 1)),
+        (lambda n, a, x: z_eval(n, a, x, 2, 0), (1,), 1.2, (100, 200), (0, 0, 1)),
+    )
+    for n in ns
+)
+#: the x offsets of the benchmark's seeds 0 and 1; each samples 51 points
+#: of [-0.5 + offset, 0.5 + offset]
+SWEEP_OFFSETS = (0.0, -0.191041)
+
+
+#: stress points at |x| >= 37.5 where the two paths differ in the last
+#: bits (14 of 3360 on the mirror-fold grid at six such x)
+SLOW_PATH_DIFFERS = (
+    (49, 0.4, 100.0, (1,), (0, 1)),
+    (101, 0.4, -250.0, (1,), (0, 1)),
+    (101, 0.4, -10000.0, (0.5 - 1j, 0.25j, 1.5 + 0.5j), (0, 1)),
+    (400, 0.4, -250.0, (1,), (0, -1.5, 0, 0.75)),
+)
+
+
+class TestFastPathAgainstSlowPath:
+    """Exact phase differences with one cos_sin each against the mpmath
+    phase path they replace (oracles.fourier_sum_unfolded)."""
+
+    @pytest.mark.parametrize("offset", SWEEP_OFFSETS)
+    def test_sweep_sums_bit_identical(self, offset):
+        for x in sample_grid(-0.5 + offset, 0.5 + offset, 51):
+            for evaluate, weight, a, n, phase in SWEEP_SUMS:
+                assert evaluate(n, a, x) == fourier_sum_unfolded(n, a, x, weight, phase), (n, a, x, phase)
+
+    def test_no_mpmath_phase_evaluation(self, monkeypatch):
+        cases = [(lambda n, a, x: dpf_eval(n, a, x, 2), (0, 0, -1), (0, 1)),
+                 (lambda n, a, x: z_eval(n, a, x, 2, 1), (0, 0, -1), (0, 0, 1)),
+                 (lambda n, a, x: y_eval(n, a, x, G_CUBIC, H_QUADRATIC), H_QUADRATIC.coeffs, G_CUBIC.coeffs)]
+        points = [(n, a, x) for n in (1, 7, 60) for a in (-2.5, 1.0, 1.7) for x in (-6.0, 0.0, 0.9)]
+        expected = [fourier_sum_unfolded(n, a, x, weight, phase)
+                    for _, weight, phase in cases for n, a, x in points]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("mpmath phase evaluation")
+
+        for name in ("cos", "sin", "mpc", "workprec"):
+            monkeypatch.setattr(mpmath, name, boom)
+        for cached in (fourier_terms, _fixed_terms, coeffs._phase_differences):
+            cached.cache_clear()
+        got = [evaluate(n, a, x) for evaluate, _, _ in cases for n, a, x in points]
+        assert got == expected
+
+    @pytest.mark.parametrize("n,a,x,weight,phase", SLOW_PATH_DIFFERS)
+    def test_where_the_slow_path_differs(self, n, a, x, weight, phase):
+        # the two round Phi(k_j) x differently, so at |x| >= 37.5 a few
+        # last bits differ; the fast path still meets the per-term bound
+        value = fourier_sum(n, a, x, weight, phase)
+        assert value != fourier_sum_unfolded(n, a, x, weight, phase)
+        assert_matches_oracle(value, n, a, x, weight, phase)
+
+
+#: x far beyond the sample grids: Phi(k_j) x has more integer bits than
+#: the working precision has bits in all
+HUGE_X = (1e12, 1e25, 1e30, -1e30)
+HUGE_PHASES = ((0, 1), (0.25, -1.5), (0, 0, 1), (0.3, -1.0, 0.5))
+HUGE_W = ((1,), (0.5 - 1j, 0.25j))
+
+
+def kernel_bound(n, a, weight, degree, ref):
+    """fourier_sum's stated error, 4 (n+1)^max(d,1) (1 + sum_j |T_j|)
+    2^-prec, plus the rounding of it and of ref to complex floats."""
+    _, _, den, magnitude = fourier_terms(n, a, weight)
+    prec = fourier_sum_precision(n, a, weight, degree * math.log2(n + 1))
+    return 4 * (n + 1) ** max(degree, 1) * (1 + magnitude / den) * 2.0**-prec + 2.0**-51 * abs(ref)
+
+
+class TestHugeX:
+    """Each phase difference is rounded to an absolute 2^-(prec + guard), so
+    the error bound holds at any x, not only where Phi(k_j) x is small."""
+
+    @pytest.mark.parametrize("x", HUGE_X)
+    def test_within_stated_bound(self, x):
+        n, a = 50, 1.5
+        for weight in HUGE_W:
+            for phase in HUGE_PHASES:
+                value = fourier_sum(n, a, x, weight, phase)
+                ref = fourier_sum_per_term(n, a, x, weight, phase, bits=4000)
+                assert abs(value - ref) <= kernel_bound(n, a, weight, len(phase) - 1, ref), (x, weight, phase)
+
+
 def exact_term(n, a, weight, j):
     """c_j(n,a) W(k_j) as a pair of Fractions (re, im)."""
     u, w = (1 + Fraction(a)) / 2, (1 - Fraction(a)) / 2
@@ -487,6 +581,12 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="phase coefficient must be finite"):
             fourier_sum(10, 1.5, 0.5, (1,), (0, bad))
 
+    @pytest.mark.parametrize("c", [1j, 1 + 0j])
+    def test_complex_phase_coefficient_is_rejected(self, c):
+        # the mpmath phase path returned a real-valued wrong sum
+        with pytest.raises(ValueError, match=re.escape(f"phase coefficient must be real, got {c!r}")):
+            fourier_sum(10, 1.5, 0.5, (1,), (0, c))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_sample_grid_names_the_bound(self, bad):
         with pytest.raises(ValueError, match="x_lo must be finite"):
@@ -506,6 +606,13 @@ class TestNonFinite:
             limit_profile(kind, 1e300, [10], -1.0, 1.0, 3, p=p, m=m)
         with pytest.raises(ArithmeticError, match="^limit frequency does not fit in a float at a=1e\\+300$"):
             limit_profile("y", 1e300, [10], -1.0, 1.0, 3, g=G_SQUARE)
+
+    @pytest.mark.parametrize("kind,where", [("dpf", "a=1e+300, p=0"), ("z", "a=1e+300, m=1, p=0"), ("y", "a=1e+300")])
+    def test_limit_phase_too_large_raises(self, kind, where):
+        # the n = 1 sum fits in a float, but freq x does not
+        message = f"limit phase does not fit in a float at {where}, x=10000000000.0"
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+            limit_profile(kind, 1e300, [1], 1e10, 2e10, 2)
 
     def test_sum_too_large_for_a_float(self):
         with pytest.raises(ArithmeticError, match="does not fit in a float"):
